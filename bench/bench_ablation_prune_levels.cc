@@ -41,8 +41,8 @@ int main() {
     ir2::QueryStats stats;
     for (const ir2::DistanceFirstQuery& query : queries) {
       auto results = tree_case.algo == ir2::bench::Algo::kIr2
-                         ? db.QueryIr2(query, &stats)
-                         : db.QueryMir2(query, &stats);
+                         ? db.Query(query, ir2::Algorithm::kIr2, &stats)
+                         : db.Query(query, ir2::Algorithm::kMir2, &stats);
       IR2_CHECK(results.ok()) << results.status().ToString();
     }
 

@@ -259,7 +259,8 @@ void BM_UntracedQuery(benchmark::State& state) {
   QueryBenchDb& bench = QueryBenchDb::Get();
   QueryStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bench.db->QueryIr2(bench.query, &stats));
+    benchmark::DoNotOptimize(
+        bench.db->Query(bench.query, Algorithm::kIr2, &stats));
   }
 }
 BENCHMARK(BM_UntracedQuery);
@@ -271,7 +272,8 @@ void BM_TracedQuery(benchmark::State& state) {
   QueryStats stats;
   for (auto _ : state) {
     tracer.Clear();  // Bound memory; keeps every Record on the fast path.
-    benchmark::DoNotOptimize(bench.db->QueryIr2(bench.query, &stats));
+    benchmark::DoNotOptimize(
+        bench.db->Query(bench.query, Algorithm::kIr2, &stats));
   }
 }
 BENCHMARK(BM_TracedQuery);

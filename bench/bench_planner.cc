@@ -157,7 +157,7 @@ std::vector<double> RunAutoPass(SpatialKeywordDatabase& db,
     QueryStats stats;
     QueryPlan plan;
     StatusOr<std::vector<QueryResult>> results =
-        db.QueryAuto(queries[i], &stats, &plan);
+        db.Query(queries[i], Algorithm::kAuto, &stats, &plan);
     IR2_CHECK(results.ok()) << results.status().ToString();
     ms[i] = stats.simulated_disk_ms;
     if (plans != nullptr) plans->push_back(plan);

@@ -455,7 +455,7 @@ void Main(const RunConfig& config) {
       QueryStats stats;
       for (const DistanceFirstQuery& query : queries) {
         StatusOr<std::vector<QueryResult>> results =
-            dataset.db->QueryIr2(query, &stats);
+            dataset.db->Query(query, Algorithm::kIr2, &stats);
         IR2_CHECK(results.ok()) << results.status().ToString();
       }
     }

@@ -5,7 +5,7 @@
 // DiskModel time breakdown, pool and cache hit ratios, and a span
 // summary. See docs/observability.md.
 //
-//   ./explain_query [--algo=rtree|iio|ir2|mir2|auto] [--k=N]
+//   ./explain_query [--algo=rtree|iio|ir2|mir2|kctree|auto] [--k=N]
 //                   [--keywords=word1,word2] [--prefetch]
 //                   [--trace=FILE]    write the query's Chrome trace JSON
 //                   [--metrics=FILE]  write the Prometheus metrics dump
@@ -49,7 +49,7 @@ bool WriteFile(const std::string& path, const std::string& contents) {
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--algo=rtree|iio|ir2|mir2|auto] [--k=N]\n"
+               "usage: %s [--algo=rtree|iio|ir2|mir2|kctree|auto] [--k=N]\n"
                "          [--keywords=word1,word2] [--prefetch]\n"
                "          [--trace=FILE] [--metrics=FILE]\n",
                argv0);
@@ -59,8 +59,7 @@ int Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  SpatialKeywordDatabase::ExplainAlgo algo =
-      SpatialKeywordDatabase::ExplainAlgo::kIr2;
+  ir2::Algorithm algo = ir2::Algorithm::kIr2;
   uint32_t k = 10;
   std::string keywords_arg, trace_path, metrics_path;
   bool prefetch = false;

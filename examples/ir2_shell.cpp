@@ -255,10 +255,10 @@ int main(int argc, char** argv) {
 
     ir2::QueryStats stats;
     ir2::StatusOr<std::vector<ir2::QueryResult>> results =
-        command == "rtree"  ? db.QueryRTree(query, &stats)
-        : command == "iio"  ? db.QueryIio(query, &stats)
-        : command == "mir2" ? db.QueryMir2(query, &stats)
-                            : db.QueryIr2(query, &stats);
+        command == "rtree"  ? db.Query(query, ir2::Algorithm::kRTree, &stats)
+        : command == "iio"  ? db.Query(query, ir2::Algorithm::kIio, &stats)
+        : command == "mir2" ? db.Query(query, ir2::Algorithm::kMir2, &stats)
+                            : db.Query(query, ir2::Algorithm::kIr2, &stats);
     if (results.ok()) {
       PrintResults(*results, stats);
     } else {

@@ -83,7 +83,7 @@ int main() {
   nn.point = ir2::Point(30.5, 100.0);
   nn.k = 8;
   PrintResults("Example 1 - nearest hotels to [30.5, 100.0]:",
-               database.QueryRTree(nn).value());
+               database.Query(nn, ir2::Algorithm::kRTree).value());
 
   // Examples 2 & 3: top-2 hotels containing {internet, pool}.
   ir2::DistanceFirstQuery query;
@@ -93,12 +93,12 @@ int main() {
 
   ir2::QueryStats iio_stats, ir2_stats;
   PrintResults("\nExample 2 - IIO top-2 {internet, pool}:",
-               database.QueryIio(query, &iio_stats).value());
+               database.Query(query, ir2::Algorithm::kIio, &iio_stats).value());
   std::printf("  object accesses: %llu\n",
               static_cast<unsigned long long>(iio_stats.objects_loaded));
 
   PrintResults("\nExample 3 - IR2-Tree top-2 {internet, pool}:",
-               database.QueryIr2(query, &ir2_stats).value());
+               database.Query(query, ir2::Algorithm::kIr2, &ir2_stats).value());
   std::printf(
       "  nodes visited: %llu, entries pruned by signature: %llu, object "
       "accesses: %llu\n",

@@ -71,10 +71,11 @@ int main() {
 
   Tally rtree, iio, ir2tree, mir2tree;
   for (const ir2::DistanceFirstQuery& query : workload) {
-    auto a = database.QueryRTree(query, &rtree.stats).value();
-    auto b = database.QueryIio(query, &iio.stats).value();
-    auto c = database.QueryIr2(query, &ir2tree.stats).value();
-    auto d = database.QueryMir2(query, &mir2tree.stats).value();
+    using ir2::Algorithm;
+    auto a = database.Query(query, Algorithm::kRTree, &rtree.stats).value();
+    auto b = database.Query(query, Algorithm::kIio, &iio.stats).value();
+    auto c = database.Query(query, Algorithm::kIr2, &ir2tree.stats).value();
+    auto d = database.Query(query, Algorithm::kMir2, &mir2tree.stats).value();
     ++rtree.queries;
     ++iio.queries;
     ++ir2tree.queries;
@@ -104,7 +105,7 @@ int main() {
   }
   std::printf("} from [%.1f, %.1f]\n", sample.point[0], sample.point[1]);
   std::vector<ir2::QueryResult> results =
-      database.QueryIr2(sample).value();
+      database.Query(sample, ir2::Algorithm::kIr2).value();
   for (size_t i = 0; i < results.size() && i < 5; ++i) {
     std::printf("  %zu. business #%u at distance %.2f\n", i + 1,
                 results[i].object_id, results[i].distance);

@@ -5,7 +5,8 @@
 # AddressSanitizer). All configurations must pass for the tree to be
 # considered healthy.
 #
-#   scripts/check.sh          # Release ctest + bench smoke + TSan suites
+#   scripts/check.sh          # Release ctest + perfbench self-test +
+#                             # bench smoke + TSan suites
 #   IR2_CHECK_FULL=1 scripts/check.sh   # run the WHOLE suite under TSan too
 #   IR2_CHECK_ASAN=1 scripts/check.sh   # also run the ASan+UBSan stage
 set -euo pipefail
@@ -17,6 +18,13 @@ echo "== Release build + full test suite =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure
+
+echo
+echo "== Repository benchmark: perfbench self-test =="
+# perfbench/ builds its own copy of ../src (perfbench/README.md), so a
+# library API change that breaks the benchmark fails here rather than in
+# the benchmark run.
+python3 perfbench/run.py --self-test
 
 echo
 echo "== Bench smoke: cold + warm throughput =="

@@ -9,9 +9,6 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/database.h"
-#include "core/iio.h"
-#include "core/kc_tree.h"
-#include "core/rtree_baseline.h"
 #include "obs/metrics.h"
 #include "rtree/rtree_base.h"
 #include "storage/buffer_pool.h"
@@ -65,7 +62,6 @@ StatusOr<BatchResults> BatchExecutor::RunDatabase(
   }
 
   const ObjectStore& objects = db_->object_store();
-  const Tokenizer& tokenizer = db_->tokenizer();
   // Trees get worker-private pools (node reads are the contended hot
   // path); object and posting reads go through the database's bypass
   // pools, which forward per-thread counts 1:1 to their devices.
@@ -74,10 +70,7 @@ StatusOr<BatchResults> BatchExecutor::RunDatabase(
     BlockDevice* device;
   };
   std::vector<TreeCtx> trees;
-  for (RTreeBase* tree : {static_cast<RTreeBase*>(db_->rtree()),
-                          static_cast<RTreeBase*>(db_->ir2_tree()),
-                          static_cast<RTreeBase*>(db_->mir2_tree()),
-                          static_cast<RTreeBase*>(db_->kc_tree())}) {
+  for (const auto& [structure, tree] : db_->Trees()) {
     if (tree != nullptr) {
       trees.push_back(TreeCtx{tree, tree->pool()->device()});
     }
@@ -177,47 +170,10 @@ StatusOr<BatchResults> BatchExecutor::RunDatabase(
       const IoStats before = thread_io();
       Stopwatch watch;
       QueryStats local;
-      StatusOr<std::vector<QueryResult>> answer(std::vector<QueryResult>{});
-      switch (algo) {
-        case Algorithm::kRTree:
-          if (db_->rtree() == nullptr) {
-            return Status::FailedPrecondition("R-Tree was not built");
-          }
-          answer = RTreeTopK(*db_->rtree(), objects, tokenizer, query, &local);
-          break;
-        case Algorithm::kIio:
-          if (db_->inverted_index() == nullptr) {
-            return Status::FailedPrecondition("Inverted index was not built");
-          }
-          answer = IioTopK(*db_->inverted_index(), objects, tokenizer, query,
-                           &local);
-          break;
-        case Algorithm::kIr2:
-          if (db_->ir2_tree() == nullptr) {
-            return Status::FailedPrecondition("IR2-Tree was not built");
-          }
-          answer = Ir2TopK(*db_->ir2_tree(), objects, tokenizer, query,
-                           &local, &scratch);
-          break;
-        case Algorithm::kMir2:
-          if (db_->mir2_tree() == nullptr) {
-            return Status::FailedPrecondition("MIR2-Tree was not built");
-          }
-          answer = Ir2TopK(*db_->mir2_tree(), objects, tokenizer, query,
-                           &local, &scratch);
-          break;
-        case Algorithm::kKcTree:
-          if (db_->kc_tree() == nullptr) {
-            return Status::FailedPrecondition("KC-Tree was not built");
-          }
-          answer = KcTopK(*db_->kc_tree(), objects, tokenizer, query,
-                          &local, &scratch);
-          break;
-        case Algorithm::kAuto:
-          return Status::Internal("Planner chose kAuto");
-      }
-      IR2_RETURN_IF_ERROR(answer.status());
-      *results = std::move(answer).value();
+      // The database's own dispatch; prefetch is off here, so it wires no
+      // schedulers and never sweeps the object file.
+      IR2_ASSIGN_OR_RETURN(*results,
+                           db_->Execute(algo, query, &local, &scratch));
       local.seconds = watch.ElapsedSeconds();
       local.io = thread_io() - before;
       // No speculation in batch mode: price the demand reads only, the

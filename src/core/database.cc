@@ -41,6 +41,52 @@ double DatasetStats::AvgBlocksPerObject() const {
 
 SpatialKeywordDatabase::~SpatialKeywordDatabase() = default;
 
+SpatialKeywordDatabase::StructureIo SpatialKeywordDatabase::MakeIo(
+    Structure s, std::unique_ptr<BlockDevice> device) const {
+  const bool bypass = (s == kObjects || s == kIio) && !options_.prefetch;
+  StructureIo io;
+  io.pool = std::make_unique<BufferPool>(device.get(),
+                                         bypass ? 0 : options_.pool_blocks);
+  io.device = std::move(device);
+  return io;
+}
+
+BufferPool* SpatialKeywordDatabase::Attach(
+    Structure s, std::unique_ptr<BlockDevice> device) {
+  io_[s] = MakeIo(s, std::move(device));
+  return io_[s].pool.get();
+}
+
+template <typename Tree, typename Make, typename Fill>
+StatusOr<std::unique_ptr<Tree>> SpatialKeywordDatabase::BuildTree(
+    Structure s, Make make, Fill fill) {
+  std::unique_ptr<Tree> tree =
+      make(Attach(s, std::make_unique<MemoryBlockDevice>()));
+  IR2_RETURN_IF_ERROR(tree->Init());
+  IR2_RETURN_IF_ERROR(fill(*tree));
+  IR2_RETURN_IF_ERROR(tree->Flush());
+  if (!options_.locality_placement || options_.bulk_load) {
+    return tree;
+  }
+  // Incremental splits scatter siblings; rewrite into the DFS layout (bulk
+  // loads already produce it natively). Payloads are copied verbatim.
+  StructureIo dfs = MakeIo(s, std::make_unique<MemoryBlockDevice>());
+  std::unique_ptr<Tree> compacted = make(dfs.pool.get());
+  IR2_RETURN_IF_ERROR(compacted->Init());
+  IR2_RETURN_IF_ERROR(tree->CompactInto(compacted.get()));
+  tree.reset();  // Before its pool.
+  io_[s] = std::move(dfs);
+  return compacted;
+}
+
+std::array<std::pair<SpatialKeywordDatabase::Structure, RTreeBase*>, 4>
+SpatialKeywordDatabase::Trees() const {
+  return {{{kRTree, rtree_.get()},
+           {kIr2, ir2_.get()},
+           {kMir2, mir2_.get()},
+           {kKcTree, kc_.get()}}};
+}
+
 StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     Build(std::span<const StoredObject> objects,
           const DatabaseOptions& options) {
@@ -49,8 +95,8 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   db->tokenizer_ = Tokenizer(options.stopwords);
 
   // 1. Object file (the paper's tab-delimited plain text file).
-  db->object_device_ = std::make_unique<MemoryBlockDevice>();
-  ObjectStoreWriter writer(db->object_device_.get());
+  auto object_device = std::make_unique<MemoryBlockDevice>();
+  ObjectStoreWriter writer(object_device.get());
   std::vector<ObjectRef> refs;
   refs.reserve(objects.size());
   for (const StoredObject& object : objects) {
@@ -59,13 +105,9 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   }
   IR2_RETURN_IF_ERROR(writer.Finish());
   // The object store reads through a pool so prefetched candidate blocks
-  // have somewhere to land. Without prefetching the pool runs in bypass
-  // mode (capacity 0): no caching layer, physical counts byte-identical to
-  // reading the device directly.
-  db->object_pool_ = std::make_unique<BufferPool>(
-      db->object_device_.get(), options.prefetch ? options.pool_blocks : 0);
-  db->object_store_ = std::make_unique<ObjectStore>(db->object_pool_.get(),
-                                                    writer.bytes_written());
+  // have somewhere to land (bypass when prefetching is off).
+  db->object_store_ = std::make_unique<ObjectStore>(
+      db->Attach(kObjects, std::move(object_device)), writer.bytes_written());
 
   // 2. Tokenize once; gather corpus statistics.
   std::vector<std::vector<std::string>> distinct_words(objects.size());
@@ -90,7 +132,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   stats.num_objects = objects.size();
   stats.vocabulary_size = vocabulary.size();
   stats.object_file_bytes = writer.bytes_written();
-  stats.object_file_blocks = db->object_device_->NumBlocks();
+  stats.object_file_blocks = db->io_[kObjects].device->NumBlocks();
 
   const auto point_rect = [](const StoredObject& object) {
     return Rect::ForPoint(Point(object.coords));
@@ -105,95 +147,75 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
           refs[i], point_rect(objects[i]), word_hashes[i]});
     }
   }
+  // Bulk loads the signature-carrying trees, or inserts object by object.
+  const auto fill_objects = [&](auto& tree, const auto& bulk) -> Status {
+    if (options.bulk_load) {
+      return tree.BulkLoadObjects(bulk, options.bulk_fill_fraction);
+    }
+    for (size_t i = 0; i < objects.size(); ++i) {
+      IR2_RETURN_IF_ERROR(tree.InsertObject(
+          refs[i], point_rect(objects[i]),
+          std::span<const uint64_t>(word_hashes[i])));
+    }
+    return Status::Ok();
+  };
 
   // 3. Plain R-Tree (baseline).
   if (options.build_rtree) {
-    db->rtree_device_ = std::make_unique<MemoryBlockDevice>();
-    db->rtree_pool_ = std::make_unique<BufferPool>(db->rtree_device_.get(),
-                                                   options.pool_blocks);
-    db->rtree_ = std::make_unique<RTree>(db->rtree_pool_.get(),
-                                         options.tree_options);
-    IR2_RETURN_IF_ERROR(db->rtree_->Init());
-    if (options.bulk_load) {
-      std::vector<RTreeBase::BulkItem> items;
-      items.reserve(objects.size());
-      for (size_t i = 0; i < objects.size(); ++i) {
-        items.push_back(RTreeBase::BulkItem{refs[i], point_rect(objects[i])});
-      }
-      EmptyPayloadSource empty;
-      IR2_RETURN_IF_ERROR(db->rtree_->BulkLoad(
-          std::move(items),
-          [&empty](size_t) -> const PayloadSource& { return empty; },
-          options.bulk_fill_fraction));
-    } else {
-      for (size_t i = 0; i < objects.size(); ++i) {
-        IR2_RETURN_IF_ERROR(
-            db->rtree_->Insert(refs[i], point_rect(objects[i])));
-      }
-    }
-    IR2_RETURN_IF_ERROR(db->rtree_->Flush());
-    if (options.locality_placement && !options.bulk_load) {
-      // Incremental splits scatter siblings; rewrite into the DFS layout
-      // (bulk loads already produce it natively).
-      auto device = std::make_unique<MemoryBlockDevice>();
-      auto pool =
-          std::make_unique<BufferPool>(device.get(), options.pool_blocks);
-      auto tree = std::make_unique<RTree>(pool.get(), options.tree_options);
-      IR2_RETURN_IF_ERROR(tree->Init());
-      IR2_RETURN_IF_ERROR(db->rtree_->CompactInto(tree.get()));
-      db->rtree_ = std::move(tree);
-      db->rtree_pool_ = std::move(pool);
-      db->rtree_device_ = std::move(device);
-    }
+    IR2_ASSIGN_OR_RETURN(
+        db->rtree_,
+        db->BuildTree<RTree>(
+            kRTree,
+            [&](BufferPool* pool) {
+              return std::make_unique<RTree>(pool, options.tree_options);
+            },
+            [&](RTree& tree) -> Status {
+              if (!options.bulk_load) {
+                for (size_t i = 0; i < objects.size(); ++i) {
+                  IR2_RETURN_IF_ERROR(
+                      tree.Insert(refs[i], point_rect(objects[i])));
+                }
+                return Status::Ok();
+              }
+              std::vector<RTreeBase::BulkItem> items;
+              items.reserve(objects.size());
+              for (size_t i = 0; i < objects.size(); ++i) {
+                items.push_back(
+                    RTreeBase::BulkItem{refs[i], point_rect(objects[i])});
+              }
+              EmptyPayloadSource empty;
+              return tree.BulkLoad(
+                  std::move(items),
+                  [&empty](size_t) -> const PayloadSource& { return empty; },
+                  options.bulk_fill_fraction);
+            }));
   }
 
   // 4. IR2-Tree.
   if (options.build_ir2) {
-    db->ir2_device_ = std::make_unique<MemoryBlockDevice>();
-    db->ir2_pool_ = std::make_unique<BufferPool>(db->ir2_device_.get(),
-                                                 options.pool_blocks);
-    db->ir2_ = std::make_unique<Ir2Tree>(db->ir2_pool_.get(),
-                                         options.tree_options,
-                                         options.ir2_signature);
-    IR2_RETURN_IF_ERROR(db->ir2_->Init());
-    if (options.bulk_load) {
-      IR2_RETURN_IF_ERROR(db->ir2_->BulkLoadObjects(
-          bulk_objects, options.bulk_fill_fraction));
-    } else {
-      for (size_t i = 0; i < objects.size(); ++i) {
-        IR2_RETURN_IF_ERROR(db->ir2_->InsertObject(
-            refs[i], point_rect(objects[i]),
-            std::span<const uint64_t>(word_hashes[i])));
-      }
-    }
-    IR2_RETURN_IF_ERROR(db->ir2_->Flush());
-    if (options.locality_placement && !options.bulk_load) {
-      auto device = std::make_unique<MemoryBlockDevice>();
-      auto pool =
-          std::make_unique<BufferPool>(device.get(), options.pool_blocks);
-      auto tree = std::make_unique<Ir2Tree>(pool.get(), options.tree_options,
-                                            options.ir2_signature);
-      IR2_RETURN_IF_ERROR(tree->Init());
-      IR2_RETURN_IF_ERROR(db->ir2_->CompactInto(tree.get()));
-      db->ir2_ = std::move(tree);
-      db->ir2_pool_ = std::move(pool);
-      db->ir2_device_ = std::move(device);
-    }
+    IR2_ASSIGN_OR_RETURN(
+        db->ir2_,
+        db->BuildTree<Ir2Tree>(
+            kIr2,
+            [&](BufferPool* pool) {
+              return std::make_unique<Ir2Tree>(pool, options.tree_options,
+                                               options.ir2_signature);
+            },
+            [&](Ir2Tree& tree) { return fill_objects(tree, bulk_objects); }));
   }
 
   // 5. MIR2-Tree: bulk load with deferred inner signatures, then one
   // recomputation pass (each object loaded once).
   if (options.build_mir2) {
-    db->mir2_device_ = std::make_unique<MemoryBlockDevice>();
-    db->mir2_pool_ = std::make_unique<BufferPool>(db->mir2_device_.get(),
-                                                  options.pool_blocks);
     MultilevelScheme scheme = options.mir2_scheme;
     RTreeOptions mir2_options = options.tree_options;
     mir2_options.defer_inner_payload_maintenance = true;
     if (scheme.per_level.empty()) {
       // Derive per-level widths from the dataset statistics. The probe tree
-      // is only used to compute the node capacity.
-      RTree capacity_probe(db->mir2_pool_.get(), options.tree_options);
+      // is only used to compute the node capacity (a function of the
+      // options and the shared block size).
+      RTree capacity_probe(db->io_[kObjects].pool.get(),
+                           options.tree_options);
       uint32_t capacity = capacity_probe.node_capacity();
       uint32_t max_levels =
           2 + static_cast<uint32_t>(
@@ -204,38 +226,19 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
           stats.AvgDistinctWordsPerObject(), stats.vocabulary_size, capacity,
           /*expected_fill=*/0.7, max_levels);
     }
-    db->mir2_ = std::make_unique<Mir2Tree>(
-        db->mir2_pool_.get(), mir2_options, std::move(scheme),
-        db->object_store_.get(), &db->tokenizer_);
-    IR2_RETURN_IF_ERROR(db->mir2_->Init());
-    if (options.bulk_load) {
-      IR2_RETURN_IF_ERROR(db->mir2_->BulkLoadObjects(
-          bulk_objects, options.bulk_fill_fraction));
-    } else {
-      for (size_t i = 0; i < objects.size(); ++i) {
-        IR2_RETURN_IF_ERROR(db->mir2_->InsertObject(
-            refs[i], point_rect(objects[i]),
-            std::span<const uint64_t>(word_hashes[i])));
-      }
-    }
-    IR2_RETURN_IF_ERROR(db->mir2_->RecomputeAllSignatures());
-    IR2_RETURN_IF_ERROR(db->mir2_->Flush());
-    if (options.locality_placement && !options.bulk_load) {
-      // Signatures are already correct (recomputed above); the compaction
-      // copies them verbatim.
-      MultilevelScheme built_scheme = db->mir2_->scheme();
-      auto device = std::make_unique<MemoryBlockDevice>();
-      auto pool =
-          std::make_unique<BufferPool>(device.get(), options.pool_blocks);
-      auto tree = std::make_unique<Mir2Tree>(
-          pool.get(), mir2_options, std::move(built_scheme),
-          db->object_store_.get(), &db->tokenizer_);
-      IR2_RETURN_IF_ERROR(tree->Init());
-      IR2_RETURN_IF_ERROR(db->mir2_->CompactInto(tree.get()));
-      db->mir2_ = std::move(tree);
-      db->mir2_pool_ = std::move(pool);
-      db->mir2_device_ = std::move(device);
-    }
+    IR2_ASSIGN_OR_RETURN(
+        db->mir2_,
+        db->BuildTree<Mir2Tree>(
+            kMir2,
+            [&](BufferPool* pool) {
+              return std::make_unique<Mir2Tree>(pool, mir2_options, scheme,
+                                                db->object_store_.get(),
+                                                &db->tokenizer_);
+            },
+            [&](Mir2Tree& tree) -> Status {
+              IR2_RETURN_IF_ERROR(fill_objects(tree, bulk_objects));
+              return tree.RecomputeAllSignatures();
+            }));
   }
 
   // 6. KC-Tree: keyword-clustered hybrid payloads — exact bitmaps for the
@@ -245,56 +248,35 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   if (options.build_kc) {
     db->kc_vocab_ = std::make_unique<KcVocabulary>(KcVocabulary::Build(
         distinct_words, options.kc_vocabulary, options.ir2_signature));
-    db->kc_device_ = std::make_unique<MemoryBlockDevice>();
-    db->kc_pool_ = std::make_unique<BufferPool>(db->kc_device_.get(),
-                                                options.pool_blocks);
-    db->kc_ = std::make_unique<KcTree>(db->kc_pool_.get(),
-                                       options.tree_options,
-                                       db->kc_vocab_.get());
-    IR2_RETURN_IF_ERROR(db->kc_->Init());
+    std::vector<KcTree::BulkObject> kc_bulk;
     if (options.bulk_load) {
-      std::vector<KcTree::BulkObject> kc_bulk;
       kc_bulk.reserve(objects.size());
       for (size_t i = 0; i < objects.size(); ++i) {
         kc_bulk.push_back(KcTree::BulkObject{
             refs[i], point_rect(objects[i]), word_hashes[i]});
       }
-      IR2_RETURN_IF_ERROR(db->kc_->BulkLoadObjects(
-          kc_bulk, options.bulk_fill_fraction));
-    } else {
-      for (size_t i = 0; i < objects.size(); ++i) {
-        IR2_RETURN_IF_ERROR(db->kc_->InsertObject(
-            refs[i], point_rect(objects[i]),
-            std::span<const uint64_t>(word_hashes[i])));
-      }
     }
-    IR2_RETURN_IF_ERROR(db->kc_->Flush());
-    if (options.locality_placement && !options.bulk_load) {
-      auto device = std::make_unique<MemoryBlockDevice>();
-      auto pool =
-          std::make_unique<BufferPool>(device.get(), options.pool_blocks);
-      auto tree = std::make_unique<KcTree>(pool.get(), options.tree_options,
-                                           db->kc_vocab_.get());
-      IR2_RETURN_IF_ERROR(tree->Init());
-      IR2_RETURN_IF_ERROR(db->kc_->CompactInto(tree.get()));
-      db->kc_ = std::move(tree);
-      db->kc_pool_ = std::move(pool);
-      db->kc_device_ = std::move(device);
-    }
+    IR2_ASSIGN_OR_RETURN(
+        db->kc_,
+        db->BuildTree<KcTree>(
+            kKcTree,
+            [&](BufferPool* pool) {
+              return std::make_unique<KcTree>(pool, options.tree_options,
+                                              db->kc_vocab_.get());
+            },
+            [&](KcTree& tree) { return fill_objects(tree, kc_bulk); }));
   }
 
   // 7. Inverted index (IIO baseline).
   if (options.build_iio) {
-    db->iio_device_ = std::make_unique<MemoryBlockDevice>();
-    InvertedIndexBuilder builder(db->iio_device_.get(), options.iio_options);
+    auto device = std::make_unique<MemoryBlockDevice>();
+    InvertedIndexBuilder builder(device.get(), options.iio_options);
     for (size_t i = 0; i < objects.size(); ++i) {
       builder.AddObject(refs[i], distinct_words[i], doc_lengths[i]);
     }
     IR2_RETURN_IF_ERROR(builder.Finish());
-    // Bypass pool when prefetching is off, mirroring the object store.
-    db->iio_pool_ = std::make_unique<BufferPool>(
-        db->iio_device_.get(), options.prefetch ? options.pool_blocks : 0);
-    IR2_ASSIGN_OR_RETURN(db->iio_, InvertedIndex::Open(db->iio_pool_.get()));
+    IR2_ASSIGN_OR_RETURN(db->iio_, InvertedIndex::Open(db->Attach(
+                                       kIio, std::move(device))));
   }
 
   db->scorer_ = std::make_unique<IrScorer>(
@@ -348,7 +330,7 @@ Status SpatialKeywordDatabase::WirePlanner() {
   inputs.object_file_blocks = stats_.object_file_blocks;
   inputs.iio_present = iio_ != nullptr;
   inputs.disk_model = options_.disk_model;
-  inputs.block_size = object_device_->block_size();
+  inputs.block_size = io_[kObjects].device->block_size();
   if (rtree_ != nullptr) {
     IR2_ASSIGN_OR_RETURN(inputs.rtree, SnapshotTreeShape(*rtree_, nullptr));
   }
@@ -399,39 +381,25 @@ Status SpatialKeywordDatabase::WirePlanner() {
 void SpatialKeywordDatabase::WireIoEngine() {
   // Schedulers may hold pointers into async_backends_; tear them down first
   // if this is ever re-run.
-  object_scheduler_.reset();
-  rtree_scheduler_.reset();
-  ir2_scheduler_.reset();
-  mir2_scheduler_.reset();
-  kc_scheduler_.reset();
-  iio_scheduler_.reset();
+  for (auto& scheduler : schedulers_) scheduler.reset();
   async_backends_.clear();
-  const auto make_scheduler =
-      [this](BufferPool* pool) -> std::unique_ptr<IoScheduler> {
-    if (pool == nullptr) {
-      return nullptr;
-    }
-    auto scheduler = std::make_unique<IoScheduler>(pool, options_.scheduler);
+  for (size_t s = 0; s < kNumStructures; ++s) {
+    BufferPool* pool = io_[s].pool.get();
+    if (pool == nullptr) continue;
+    schedulers_[s] = std::make_unique<IoScheduler>(pool, options_.scheduler);
     if (options_.async_io_threads > 0) {
       AsyncIoOptions async_options;
       async_options.num_threads = options_.async_io_threads;
       async_backends_.push_back(
           std::make_unique<AsyncIoBackend>(pool, async_options));
-      scheduler->SetAsyncBackend(async_backends_.back().get());
+      schedulers_[s]->SetAsyncBackend(async_backends_.back().get());
     }
-    return scheduler;
-  };
-  object_scheduler_ = make_scheduler(object_pool_.get());
-  rtree_scheduler_ = make_scheduler(rtree_pool_.get());
-  ir2_scheduler_ = make_scheduler(ir2_pool_.get());
-  mir2_scheduler_ = make_scheduler(mir2_pool_.get());
-  kc_scheduler_ = make_scheduler(kc_pool_.get());
-  iio_scheduler_ = make_scheduler(iio_pool_.get());
-  if (iio_ != nullptr && iio_scheduler_ != nullptr) {
+  }
+  if (iio_ != nullptr && schedulers_[kIio] != nullptr) {
     // Posting lists always stream through the scheduler's ReadRun path —
     // the identical block sequence as direct reads, so this is safe to
     // wire unconditionally (prefetch on or off).
-    iio_->SetScheduler(iio_scheduler_.get());
+    iio_->SetScheduler(schedulers_[kIio].get());
   }
 }
 
@@ -439,19 +407,14 @@ Status SpatialKeywordDatabase::DropCaches() {
   // Let in-flight speculation finish first so a racing prefetch cannot
   // re-populate a pool between the Clear and the next query.
   DrainSchedulers();
-  for (BufferPool* pool :
-       {object_pool_.get(), rtree_pool_.get(), ir2_pool_.get(),
-        mir2_pool_.get(), kc_pool_.get(), iio_pool_.get()}) {
-    if (pool != nullptr) {
-      IR2_RETURN_IF_ERROR(pool->Clear());
+  for (const StructureIo& io : io_) {
+    if (io.pool != nullptr) {
+      IR2_RETURN_IF_ERROR(io.pool->Clear());
     }
   }
   // A decoded-node cache attached to a tree would also short-circuit cold
   // reads; drop it so cold_queries keeps its per-query purity.
-  for (RTreeBase* tree : {static_cast<RTreeBase*>(rtree_.get()),
-                          static_cast<RTreeBase*>(ir2_.get()),
-                          static_cast<RTreeBase*>(mir2_.get()),
-                          static_cast<RTreeBase*>(kc_.get())}) {
+  for (const auto& [s, tree] : Trees()) {
     if (tree != nullptr && tree->node_cache() != nullptr) {
       tree->node_cache()->Clear();
     }
@@ -460,87 +423,67 @@ Status SpatialKeywordDatabase::DropCaches() {
 }
 
 void SpatialKeywordDatabase::ResetIoStats() {
-  // Pools cascade to their backing devices; the device loop covers any
+  // Pools cascade to their backing devices; the device reset covers any
   // device not behind a pool.
-  for (BufferPool* pool :
-       {object_pool_.get(), rtree_pool_.get(), ir2_pool_.get(),
-        mir2_pool_.get(), kc_pool_.get(), iio_pool_.get()}) {
-    if (pool != nullptr) {
-      pool->ResetStats();
-    }
+  for (const StructureIo& io : io_) {
+    if (io.pool != nullptr) io.pool->ResetStats();
+    if (io.device != nullptr) io.device->ResetStats();
   }
-  for (BlockDevice* device :
-       {object_device_.get(), rtree_device_.get(), ir2_device_.get(),
-        mir2_device_.get(), kc_device_.get(), iio_device_.get()}) {
-    if (device != nullptr) {
-      device->ResetStats();
-    }
-  }
-  for (IoScheduler* scheduler :
-       {object_scheduler_.get(), rtree_scheduler_.get(), ir2_scheduler_.get(),
-        mir2_scheduler_.get(), kc_scheduler_.get(), iio_scheduler_.get()}) {
-    if (scheduler != nullptr) {
-      scheduler->ResetStats();
-    }
+  for (const auto& scheduler : schedulers_) {
+    if (scheduler != nullptr) scheduler->ResetStats();
   }
 }
 
 IoStats SpatialKeywordDatabase::PoolThreadIo() const {
   IoStats total;
-  for (const BufferPool* pool :
-       {object_pool_.get(), rtree_pool_.get(), ir2_pool_.get(),
-        mir2_pool_.get(), kc_pool_.get(), iio_pool_.get()}) {
-    if (pool != nullptr) {
-      total += pool->thread_stats();
-    }
+  for (const StructureIo& io : io_) {
+    if (io.pool != nullptr) total += io.pool->thread_stats();
   }
   return total;
 }
 
 IoStats SpatialKeywordDatabase::DeviceThreadIo() const {
   IoStats total;
-  for (const BlockDevice* device :
-       {object_device_.get(), rtree_device_.get(), ir2_device_.get(),
-        mir2_device_.get(), kc_device_.get(), iio_device_.get()}) {
-    if (device != nullptr) {
-      total += device->thread_stats();
-    }
+  for (const StructureIo& io : io_) {
+    if (io.device != nullptr) total += io.device->thread_stats();
+  }
+  return total;
+}
+
+IoStats SpatialKeywordDatabase::AggregateIo() const {
+  IoStats total;
+  for (const StructureIo& io : io_) {
+    if (io.device != nullptr) total += io.device->stats();
   }
   return total;
 }
 
 IoStats SpatialKeywordDatabase::SchedulerIo() const {
   IoStats total;
-  for (const IoScheduler* scheduler :
-       {object_scheduler_.get(), rtree_scheduler_.get(), ir2_scheduler_.get(),
-        mir2_scheduler_.get(), kc_scheduler_.get(), iio_scheduler_.get()}) {
-    if (scheduler != nullptr) {
-      total += scheduler->speculative_stats();
-    }
+  for (const auto& scheduler : schedulers_) {
+    if (scheduler != nullptr) total += scheduler->speculative_stats();
   }
   return total;
 }
 
 void SpatialKeywordDatabase::DrainSchedulers() {
-  for (IoScheduler* scheduler :
-       {object_scheduler_.get(), rtree_scheduler_.get(), ir2_scheduler_.get(),
-        mir2_scheduler_.get(), kc_scheduler_.get(), iio_scheduler_.get()}) {
-    if (scheduler != nullptr) {
-      scheduler->Drain();
-    }
+  for (const auto& scheduler : schedulers_) {
+    if (scheduler != nullptr) scheduler->Drain();
   }
 }
 
 void SpatialKeywordDatabase::MaybeSweepObjectFile(
     const DistanceFirstQuery& q) {
-  if (!options_.prefetch || object_scheduler_ == nullptr || q.k == 0) {
+  IoScheduler* scheduler = schedulers_[kObjects].get();
+  if (!options_.prefetch || scheduler == nullptr || q.k == 0) {
     return;
   }
-  const uint64_t blocks = object_pool_->NumBlocks();
+  const BufferPool& pool = *io_[kObjects].pool;
+  const uint64_t blocks = pool.NumBlocks();
   if (blocks == 0) {
     return;
   }
-  const DiskModel model(options_.disk_model, object_pool_->block_size());
+  const DiskModel model(options_.disk_model, pool.block_size());
   const double sweep_ms =
       model.RandomAccessMs() +
       static_cast<double>(blocks - 1) * model.SequentialAccessMs();
@@ -563,25 +506,13 @@ void SpatialKeywordDatabase::MaybeSweepObjectFile(
   }
   const double seek_ms = expected_loads * model.RandomAccessMs();
   if (sweep_ms < seek_ms) {
-    object_scheduler_->PrefetchRange(0, static_cast<uint32_t>(
-                                            std::min<uint64_t>(blocks, ~0u)));
+    scheduler->PrefetchRange(0, static_cast<uint32_t>(
+                                    std::min<uint64_t>(blocks, ~0u)));
   }
-}
-
-IoStats SpatialKeywordDatabase::AggregateIo() const {
-  IoStats total;
-  for (const BlockDevice* device :
-       {object_device_.get(), rtree_device_.get(), ir2_device_.get(),
-        mir2_device_.get(), kc_device_.get(), iio_device_.get()}) {
-    if (device != nullptr) {
-      total += device->stats();
-    }
-  }
-  return total;
 }
 
 template <typename Fn>
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunQuery(
+std::invoke_result_t<Fn&, QueryStats*> SpatialKeywordDatabase::RunQuery(
     QueryStats* stats, Fn&& fn) {
   if (options_.cold_queries) {
     IR2_RETURN_IF_ERROR(DropCaches());
@@ -600,7 +531,7 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunQuery(
   obs::TraceSpan query_span(obs::SpanKind::kQuery);
   Stopwatch watch;
   QueryStats local;
-  IR2_ASSIGN_OR_RETURN(std::vector<QueryResult> results, fn(&local));
+  IR2_ASSIGN_OR_RETURN(auto results, fn(&local));
   if (options_.prefetch) {
     // Speculation issued on this query's behalf settles before accounting
     // (and before a next query's DropCaches could discard it half-done).
@@ -625,163 +556,72 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::RunQuery(
   return results;
 }
 
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryRTree(
-    const DistanceFirstQuery& q, QueryStats* stats) {
-  if (rtree_ == nullptr) {
-    return Status::FailedPrecondition("R-Tree was not built");
-  }
-  NNPrefetchOptions prefetch;
-  if (options_.prefetch) {
-    prefetch.node_scheduler = rtree_scheduler_.get();
-    if (options_.prefetch_objects) {
-      prefetch.object_scheduler = object_scheduler_.get();
+StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::Execute(
+    Algorithm algo, const DistanceFirstQuery& q, QueryStats* stats,
+    Ir2QueryScratch* scratch) {
+  const auto not_built = [](const char* what) {
+    return Status::FailedPrecondition(std::string(what) + " was not built");
+  };
+  IoScheduler* objects =
+      options_.prefetch ? schedulers_[kObjects].get() : nullptr;
+  // Tree traversals: nodes speculate through the tree's own scheduler,
+  // leaf candidates' object blocks only under prefetch_objects.
+  const auto prefetch = [&](Structure s) {
+    NNPrefetchOptions out;
+    if (options_.prefetch) {
+      out.node_scheduler = schedulers_[s].get();
+      if (options_.prefetch_objects) out.object_scheduler = objects;
     }
+    return out;
+  };
+  switch (algo) {
+    case Algorithm::kRTree:
+      if (rtree_ == nullptr) return not_built("R-Tree");
+      MaybeSweepObjectFile(q);
+      return RTreeTopK(*rtree_, *object_store_, tokenizer_, q, stats,
+                       prefetch(kRTree));
+    case Algorithm::kIio:
+      if (iio_ == nullptr) return not_built("Inverted index");
+      // IIO verifies every intersection candidate, so it always prefetches
+      // their object blocks when prefetching is on.
+      return IioTopK(*iio_, *object_store_, tokenizer_, q, stats, objects);
+    case Algorithm::kIr2:
+      if (ir2_ == nullptr) return not_built("IR2-Tree");
+      MaybeSweepObjectFile(q);
+      return Ir2TopK(*ir2_, *object_store_, tokenizer_, q, stats, scratch,
+                     prefetch(kIr2));
+    case Algorithm::kMir2:
+      if (mir2_ == nullptr) return not_built("MIR2-Tree");
+      MaybeSweepObjectFile(q);
+      return Ir2TopK(*mir2_, *object_store_, tokenizer_, q, stats, scratch,
+                     prefetch(kMir2));
+    case Algorithm::kKcTree:
+      if (kc_ == nullptr) return not_built("KC-Tree");
+      MaybeSweepObjectFile(q);
+      return KcTopK(*kc_, *object_store_, tokenizer_, q, stats, scratch,
+                    prefetch(kKcTree));
+    case Algorithm::kAuto:
+      break;
   }
-  return RunQuery(stats, [&](QueryStats* local) {
-    MaybeSweepObjectFile(q);
-    return RTreeTopK(*rtree_, *object_store_, tokenizer_, q, local, prefetch);
-  });
-}
-
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryIio(
-    const DistanceFirstQuery& q, QueryStats* stats) {
-  if (iio_ == nullptr) {
-    return Status::FailedPrecondition("Inverted index was not built");
-  }
-  return RunQuery(stats, [&](QueryStats* local) {
-    return IioTopK(*iio_, *object_store_, tokenizer_, q, local,
-                   options_.prefetch ? object_scheduler_.get() : nullptr);
-  });
-}
-
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryIr2(
-    const DistanceFirstQuery& q, QueryStats* stats) {
-  if (ir2_ == nullptr) {
-    return Status::FailedPrecondition("IR2-Tree was not built");
-  }
-  NNPrefetchOptions prefetch;
-  if (options_.prefetch) {
-    prefetch.node_scheduler = ir2_scheduler_.get();
-    if (options_.prefetch_objects) {
-      prefetch.object_scheduler = object_scheduler_.get();
-    }
-  }
-  return RunQuery(stats, [&](QueryStats* local) {
-    MaybeSweepObjectFile(q);
-    return Ir2TopK(*ir2_, *object_store_, tokenizer_, q, local,
-                   /*scratch=*/nullptr, prefetch);
-  });
-}
-
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryMir2(
-    const DistanceFirstQuery& q, QueryStats* stats) {
-  if (mir2_ == nullptr) {
-    return Status::FailedPrecondition("MIR2-Tree was not built");
-  }
-  NNPrefetchOptions prefetch;
-  if (options_.prefetch) {
-    prefetch.node_scheduler = mir2_scheduler_.get();
-    if (options_.prefetch_objects) {
-      prefetch.object_scheduler = object_scheduler_.get();
-    }
-  }
-  return RunQuery(stats, [&](QueryStats* local) {
-    MaybeSweepObjectFile(q);
-    return Ir2TopK(*mir2_, *object_store_, tokenizer_, q, local,
-                   /*scratch=*/nullptr, prefetch);
-  });
-}
-
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryKc(
-    const DistanceFirstQuery& q, QueryStats* stats) {
-  if (kc_ == nullptr) {
-    return Status::FailedPrecondition("KC-Tree was not built");
-  }
-  NNPrefetchOptions prefetch;
-  if (options_.prefetch) {
-    prefetch.node_scheduler = kc_scheduler_.get();
-    if (options_.prefetch_objects) {
-      prefetch.object_scheduler = object_scheduler_.get();
-    }
-  }
-  return RunQuery(stats, [&](QueryStats* local) {
-    MaybeSweepObjectFile(q);
-    return KcTopK(*kc_, *object_store_, tokenizer_, q, local,
-                  /*scratch=*/nullptr, prefetch);
-  });
+  return Status::Internal("kAuto has no traversal; plan the query first");
 }
 
 uint64_t SpatialKeywordDatabase::MutationEpoch() const {
   uint64_t epoch = 0;
-  if (rtree_ != nullptr) epoch += rtree_->version();
-  if (ir2_ != nullptr) epoch += ir2_->version();
-  if (mir2_ != nullptr) epoch += mir2_->version();
-  if (kc_ != nullptr) epoch += kc_->version();
+  for (const auto& [s, tree] : Trees()) {
+    if (tree != nullptr) epoch += tree->version();
+  }
   return epoch;
 }
 
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryAuto(
-    const DistanceFirstQuery& q, QueryStats* stats, QueryPlan* plan_out) {
-  return QueryAutoCached(q, stats, plan_out, /*check_out=*/nullptr);
-}
-
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryAutoCached(
-    const DistanceFirstQuery& q, QueryStats* stats, QueryPlan* plan_out,
-    CacheReuseCheck* check_out) {
-  // Only plain point top-k queries are cacheable: an area target has no
-  // single center for the triangle-inequality ball, and a max_distance
-  // bound can truncate the over-fetch below K, which would record a radius
-  // the entry does not actually cover.
-  if (result_cache_ == nullptr || q.area.has_value() ||
-      q.max_distance.has_value() || q.k == 0) {
-    return QueryAutoPlanned(q, stats, plan_out);
+StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::Query(
+    const DistanceFirstQuery& q, Algorithm algo, QueryStats* stats,
+    QueryPlan* plan_out) {
+  if (algo != Algorithm::kAuto) {
+    return RunQuery(stats, [&](QueryStats* local) {
+      return Execute(algo, q, local);
+    });
   }
-  // One canonical keyword form for the cache key and the executed query.
-  // NormalizeKeywords is idempotent, so the algorithms' own normalization
-  // of the rewritten query is a no-op.
-  DistanceFirstQuery canonical = q;
-  canonical.keywords = tokenizer_.NormalizeKeywords(q.keywords);
-  const uint64_t epoch = MutationEpoch();
-  CacheReuseCheck check;
-  std::vector<QueryResult> cached;
-  if (result_cache_->TryServe(canonical, epoch, &cached, &check)) {
-    if (stats != nullptr) {
-      if (check.exact || check.exhaustive) {
-        ++stats->result_cache_hits;
-      } else {
-        ++stats->result_cache_near_hits;
-      }
-    }
-    if (check_out != nullptr) *check_out = check;
-    if (plan_out != nullptr) *plan_out = QueryPlan{};  // Nothing planned.
-    return cached;
-  }
-  if (stats != nullptr) {
-    ++stats->result_cache_misses;
-    if (check.stale) ++stats->result_cache_invalidations;
-  }
-  if (check_out != nullptr) *check_out = check;
-  const uint32_t fetch_k = result_cache_->OverfetchK(canonical);
-  if (fetch_k <= canonical.k) {
-    // Admission declined (keyword set too cold): plain planned query.
-    return QueryAutoPlanned(canonical, stats, plan_out);
-  }
-  // Over-fetch: run the same planned path with k = K. The distance-ordered
-  // algorithms produce a deterministic result stream, so the first q.k of
-  // the top-K are exactly the plain top-k answer — truncation loses
-  // nothing but fills the cache with a reusable ball.
-  DistanceFirstQuery overfetch = canonical;
-  overfetch.k = fetch_k;
-  auto fetched = QueryAutoPlanned(overfetch, stats, plan_out);
-  IR2_RETURN_IF_ERROR(fetched.status());
-  result_cache_->Admit(canonical, fetch_k, epoch, fetched.value());
-  std::vector<QueryResult> top = std::move(fetched).value();
-  if (top.size() > canonical.k) top.resize(canonical.k);
-  return top;
-}
-
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryAutoPlanned(
-    const DistanceFirstQuery& q, QueryStats* stats, QueryPlan* plan_out) {
   if (planner_ == nullptr) {
     return Status::FailedPrecondition("Planner was not built");
   }
@@ -797,27 +637,10 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryAutoPlanned(
         "No structure available to answer the query");
   }
   QueryStats local;
-  StatusOr<std::vector<QueryResult>> results(std::vector<QueryResult>{});
-  switch (plan.chosen) {
-    case Algorithm::kRTree:
-      results = QueryRTree(q, &local);
-      break;
-    case Algorithm::kIio:
-      results = QueryIio(q, &local);
-      break;
-    case Algorithm::kIr2:
-      results = QueryIr2(q, &local);
-      break;
-    case Algorithm::kMir2:
-      results = QueryMir2(q, &local);
-      break;
-    case Algorithm::kKcTree:
-      results = QueryKc(q, &local);
-      break;
-    case Algorithm::kAuto:
-      return Status::Internal("Planner chose kAuto");
-  }
-  IR2_RETURN_IF_ERROR(results.status());
+  IR2_ASSIGN_OR_RETURN(std::vector<QueryResult> results,
+                       RunQuery(&local, [&](QueryStats* s) {
+                         return Execute(plan.chosen, q, s);
+                       }));
   planner_->RecordOutcome(plan, local.simulated_disk_ms);
   // Mispricing audit for the serving query log: no-op unless the calling
   // thread installed a sink (one thread_local load otherwise).
@@ -830,44 +653,7 @@ StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::QueryAutoPlanned(
   return results;
 }
 
-StatusOr<std::vector<QueryResult>> SpatialKeywordDatabase::Query(
-    const DistanceFirstQuery& q, Algorithm algo, QueryStats* stats) {
-  switch (algo) {
-    case Algorithm::kRTree:
-      return QueryRTree(q, stats);
-    case Algorithm::kIio:
-      return QueryIio(q, stats);
-    case Algorithm::kIr2:
-      return QueryIr2(q, stats);
-    case Algorithm::kMir2:
-      return QueryMir2(q, stats);
-    case Algorithm::kKcTree:
-      return QueryKc(q, stats);
-    case Algorithm::kAuto:
-      return QueryAuto(q, stats);
-  }
-  return Status::InvalidArgument("Unknown algorithm");
-}
-
 namespace {
-
-const char* ExplainAlgoName(SpatialKeywordDatabase::ExplainAlgo algo) {
-  switch (algo) {
-    case SpatialKeywordDatabase::ExplainAlgo::kRTree:
-      return "R-Tree";
-    case SpatialKeywordDatabase::ExplainAlgo::kIio:
-      return "IIO";
-    case SpatialKeywordDatabase::ExplainAlgo::kIr2:
-      return "IR2";
-    case SpatialKeywordDatabase::ExplainAlgo::kMir2:
-      return "MIR2";
-    case SpatialKeywordDatabase::ExplainAlgo::kKcTree:
-      return "KCTREE";
-    case SpatialKeywordDatabase::ExplainAlgo::kAuto:
-      return "AUTO";
-  }
-  return "?";
-}
 
 // Selectivities span many decades; %.3g keeps 1e-7 readable where FormatMs
 // would render 0.00.
@@ -902,75 +688,16 @@ void AddIoRow(obs::ExplainSection* section, const char* label,
 
 }  // namespace
 
-void AddCacheReuseSection(obs::ExplainReport* report,
-                          const CacheReuseCheck& check) {
-  obs::ExplainSection* section = report->AddSection("Result cache");
-  char buf[96];
-  if (!check.attempted) {
-    section->AddRow("verdict", "miss (no entry for this keyword set)");
-    return;
-  }
-  if (check.stale) {
-    section->AddRow("verdict", "invalidated (mutation epoch moved)");
-    return;
-  }
-  section->AddRow("cached results (K)", obs::FormatCount(check.cached_results));
-  std::snprintf(buf, sizeof(buf), "%.6f", check.cached_radius);
-  section->AddRow("cached radius r_K", buf);
-  std::snprintf(buf, sizeof(buf), "%.6f", check.center_shift);
-  section->AddRow("center shift dist(p, p')", buf);
-  if (check.exhaustive) {
-    section->AddRow("reuse proof", "entry is exhaustive (every match cached)");
-  } else if (check.exact) {
-    section->AddRow("reuse proof", "exact center, k' <= K (prefix of the "
-                                   "cached total order)");
-  } else {
-    std::snprintf(buf, sizeof(buf), "d'_k' = %.6f %s r_K - shift = %.6f",
-                  check.kth_distance, check.hit ? "<" : ">=",
-                  check.cached_radius - check.center_shift);
-    section->AddRow("reuse inequality", buf);
-  }
-  section->AddRow("verdict", check.hit ? "hit (answered from cache, zero "
-                                         "index I/O)"
-                                       : "miss (inequality not provable)");
-}
-
 StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
-    Explain(const DistanceFirstQuery& q, ExplainAlgo algo) {
-  struct PoolRow {
-    const char* name;
-    const BufferPool* pool;
-    BufferPoolStats before;
-  };
-  std::vector<PoolRow> pools;
-  for (const auto& [name, pool] :
-       {std::pair<const char*, const BufferPool*>{"objects",
-                                                  object_pool_.get()},
-        {"rtree", rtree_pool_.get()},
-        {"ir2", ir2_pool_.get()},
-        {"mir2", mir2_pool_.get()},
-        {"kctree", kc_pool_.get()},
-        {"iio", iio_pool_.get()}}) {
-    if (pool != nullptr) {
-      pools.push_back(PoolRow{name, pool, pool->Stats()});
-    }
-  }
-  struct SchedulerRow {
-    const char* name;
-    const IoScheduler* scheduler;
-    IoSchedulerStats before;
-  };
-  std::vector<SchedulerRow> schedulers;
-  for (const auto& [name, scheduler] :
-       {std::pair<const char*, const IoScheduler*>{"objects",
-                                                   object_scheduler_.get()},
-        {"rtree", rtree_scheduler_.get()},
-        {"ir2", ir2_scheduler_.get()},
-        {"mir2", mir2_scheduler_.get()},
-        {"kctree", kc_scheduler_.get()},
-        {"iio", iio_scheduler_.get()}}) {
-    if (scheduler != nullptr) {
-      schedulers.push_back(SchedulerRow{name, scheduler, scheduler->stats()});
+    Explain(const DistanceFirstQuery& q, Algorithm algo) {
+  // Per-structure counters before the query: the pool and scheduler
+  // tables below report this query's deltas.
+  std::array<BufferPoolStats, kNumStructures> pools_before;
+  std::array<IoSchedulerStats, kNumStructures> schedulers_before;
+  for (size_t s = 0; s < kNumStructures; ++s) {
+    if (io_[s].pool != nullptr) pools_before[s] = io_[s].pool->Stats();
+    if (schedulers_[s] != nullptr) {
+      schedulers_before[s] = schedulers_[s]->stats();
     }
   }
 
@@ -979,49 +706,26 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
   ExplainResult out;
   obs::Tracer tracer;
   QueryPlan plan;
-  CacheReuseCheck cache_check;
-  StatusOr<std::vector<QueryResult>> results(std::vector<QueryResult>{});
-  {
+  StatusOr<std::vector<QueryResult>> results = [&] {
     obs::ScopedTracer scoped(&tracer);
-    switch (algo) {
-      case ExplainAlgo::kRTree:
-        results = QueryRTree(q, &out.stats);
-        break;
-      case ExplainAlgo::kIio:
-        results = QueryIio(q, &out.stats);
-        break;
-      case ExplainAlgo::kIr2:
-        results = QueryIr2(q, &out.stats);
-        break;
-      case ExplainAlgo::kMir2:
-        results = QueryMir2(q, &out.stats);
-        break;
-      case ExplainAlgo::kKcTree:
-        results = QueryKc(q, &out.stats);
-        break;
-      case ExplainAlgo::kAuto:
-        results = QueryAutoCached(q, &out.stats, &plan, &cache_check);
-        break;
-    }
-  }
+    return Query(q, algo, &out.stats, &plan);
+  }();
   IR2_RETURN_IF_ERROR(results.status());
   out.results = std::move(results).value();
   out.trace_json = tracer.ToChromeTraceJson();
   const QueryStats& stats = out.stats;
 
   obs::ExplainReport& report = out.report;
-  report.title = std::string("EXPLAIN ") + ExplainAlgoName(algo) +
+  report.title = std::string("EXPLAIN ") + AlgorithmName(algo) +
                  " distance-first top-" + std::to_string(q.k);
 
   obs::ExplainSection* query = report.AddSection("Query");
-  if (algo == ExplainAlgo::kAuto && cache_check.hit) {
-    query->AddRow("algorithm", "auto -> result cache (no plan executed)");
-  } else if (algo == ExplainAlgo::kAuto) {
+  if (algo == Algorithm::kAuto) {
     query->AddRow("algorithm", std::string("auto -> ") +
                                    AlgorithmName(plan.chosen) +
                                    " (cost-based)");
   } else {
-    query->AddRow("algorithm", ExplainAlgoName(algo));
+    query->AddRow("algorithm", AlgorithmName(algo));
   }
   if (q.area.has_value()) {
     query->AddRow("target", "area (MINDIST to rectangle)");
@@ -1039,11 +743,7 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
   query->AddRow("prefetch", options_.prefetch ? "on" : "off");
   query->AddRow("simd", simd::LevelName(simd::ActiveLevel()));
 
-  if (algo == ExplainAlgo::kAuto && result_cache_ != nullptr) {
-    AddCacheReuseSection(&report, cache_check);
-  }
-
-  if (algo == ExplainAlgo::kAuto && !cache_check.hit) {
+  if (algo == Algorithm::kAuto) {
     // How the decision was made (docs/planner.md): every candidate's
     // static DiskModel estimate, the feedback-corrected prediction the
     // choice minimized, and how the chosen plan's prediction compared to
@@ -1171,34 +871,30 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
   obs::ExplainSection* pool_section =
       report.AddSection("Buffer pools (this query)");
   pool_section->columns = {"pool", "hits", "misses", "hit ratio"};
-  for (const PoolRow& row : pools) {
-    const BufferPoolStats after = row.pool->Stats();
-    const uint64_t hits = CounterDelta(after.hits, row.before.hits);
-    const uint64_t misses = CounterDelta(after.misses, row.before.misses);
-    pool_section->AddRow({row.name, obs::FormatCount(hits),
+  for (size_t s = 0; s < kNumStructures; ++s) {
+    if (io_[s].pool == nullptr) continue;
+    const BufferPoolStats after = io_[s].pool->Stats();
+    const uint64_t hits = CounterDelta(after.hits, pools_before[s].hits);
+    const uint64_t misses = CounterDelta(after.misses, pools_before[s].misses);
+    pool_section->AddRow({kStructureNames[s], obs::FormatCount(hits),
                           obs::FormatCount(misses),
                           obs::FormatRatio(hits, hits + misses)});
   }
 
-  struct TreeRow {
-    const char* name;
-    RTreeBase* tree;
-  };
   bool any_node_cache = false;
-  for (const TreeRow& row :
-       {TreeRow{"rtree", rtree_.get()}, TreeRow{"ir2", ir2_.get()},
-        TreeRow{"mir2", mir2_.get()}, TreeRow{"kctree", kc_.get()}}) {
-    if (row.tree != nullptr && row.tree->node_cache() != nullptr) {
+  for (const auto& [s, tree] : Trees()) {
+    if (tree != nullptr && tree->node_cache() != nullptr) {
       if (!any_node_cache) {
         obs::ExplainSection* caches = report.AddSection("Node caches");
         caches->columns = {"tree", "hits", "misses", "hit ratio", "pinned"};
         any_node_cache = true;
       }
-      const NodeCacheStats s = row.tree->node_cache()->Stats();
+      const NodeCacheStats c = tree->node_cache()->Stats();
       report.sections.back().AddRow(
-          {row.name, obs::FormatCount(s.hits), obs::FormatCount(s.misses),
-           obs::FormatRatio(s.hits, s.hits + s.misses),
-           obs::FormatCount(s.pinned)});
+          {kStructureNames[s], obs::FormatCount(c.hits),
+           obs::FormatCount(c.misses),
+           obs::FormatRatio(c.hits, c.hits + c.misses),
+           obs::FormatCount(c.pinned)});
     }
   }
 
@@ -1207,15 +903,17 @@ StatusOr<SpatialKeywordDatabase::ExplainResult> SpatialKeywordDatabase::
         report.AddSection("Prefetch schedulers (this query)");
     sched_section->columns = {"scheduler", "requested", "deduped", "runs",
                               "blocks fetched"};
-    for (const SchedulerRow& row : schedulers) {
-      const IoSchedulerStats after = row.scheduler->stats();
+    for (size_t s = 0; s < kNumStructures; ++s) {
+      if (schedulers_[s] == nullptr) continue;
+      const IoSchedulerStats after = schedulers_[s]->stats();
+      const IoSchedulerStats& before = schedulers_before[s];
       sched_section->AddRow(
-          {row.name,
-           obs::FormatCount(CounterDelta(after.requested, row.before.requested)),
-           obs::FormatCount(CounterDelta(after.deduped, row.before.deduped)),
-           obs::FormatCount(CounterDelta(after.runs, row.before.runs)),
+          {kStructureNames[s],
+           obs::FormatCount(CounterDelta(after.requested, before.requested)),
+           obs::FormatCount(CounterDelta(after.deduped, before.deduped)),
+           obs::FormatCount(CounterDelta(after.runs, before.runs)),
            obs::FormatCount(
-               CounterDelta(after.blocks_fetched, row.before.blocks_fetched))});
+               CounterDelta(after.blocks_fetched, before.blocks_fetched))});
     }
   }
 
@@ -1269,76 +967,35 @@ StatusOr<std::vector<ObjectRef>> SpatialKeywordDatabase::KeywordMatches(
     return Status::InvalidArgument(
         "Keyword query needs at least one (non-stopword) keyword");
   }
-  if (options_.cold_queries) {
-    IR2_RETURN_IF_ERROR(DropCaches());
-  }
-  // Same three-way accounting as RunQuery (see the comment there).
-  const IoStats demand_before = PoolThreadIo();
-  const IoStats physical_before = DeviceThreadIo();
-  const IoStats speculative_before = SchedulerIo();
-  Stopwatch watch;
-  std::vector<std::vector<ObjectRef>> lists;
-  lists.reserve(normalized.size());
-  for (const std::string& keyword : normalized) {
-    IR2_ASSIGN_OR_RETURN(std::vector<ObjectRef> list,
-                         iio_->RetrieveList(keyword));
-    lists.push_back(std::move(list));
-  }
-  std::vector<ObjectRef> matches = IntersectSorted(lists);
-  if (options_.prefetch) {
-    DrainSchedulers();
-  }
-  if (stats != nullptr) {
-    stats->seconds += watch.ElapsedSeconds();
-    const IoStats io = DeviceThreadIo() - physical_before;
-    const IoStats speculative = SchedulerIo() - speculative_before;
-    stats->io += io;
-    stats->demand_io += PoolThreadIo() - demand_before;
-    stats->speculative_io += speculative;
-    const DiskModel model(options_.disk_model);
-    stats->simulated_disk_ms += model.Ms(io) + model.Ms(speculative);
-  }
-  return matches;
-}
-
-uint64_t SpatialKeywordDatabase::ObjectFileBytes() const {
-  return object_device_ ? object_device_->SizeBytes() : 0;
-}
-uint64_t SpatialKeywordDatabase::RTreeBytes() const {
-  return rtree_device_ ? rtree_device_->SizeBytes() : 0;
-}
-uint64_t SpatialKeywordDatabase::Ir2TreeBytes() const {
-  return ir2_device_ ? ir2_device_->SizeBytes() : 0;
-}
-uint64_t SpatialKeywordDatabase::Mir2TreeBytes() const {
-  return mir2_device_ ? mir2_device_->SizeBytes() : 0;
-}
-uint64_t SpatialKeywordDatabase::KcTreeBytes() const {
-  return kc_device_ ? kc_device_->SizeBytes() : 0;
-}
-uint64_t SpatialKeywordDatabase::IioBytes() const {
-  return iio_device_ ? iio_device_->SizeBytes() : 0;
+  return RunQuery(stats, [&](QueryStats*) -> StatusOr<std::vector<ObjectRef>> {
+    std::vector<std::vector<ObjectRef>> lists;
+    lists.reserve(normalized.size());
+    for (const std::string& keyword : normalized) {
+      IR2_ASSIGN_OR_RETURN(std::vector<ObjectRef> list,
+                           iio_->RetrieveList(keyword));
+      lists.push_back(std::move(list));
+    }
+    return IntersectSorted(lists);
+  });
 }
 
 namespace {
 
 constexpr const char* kManifestName = "manifest.txt";
 
-std::string DevicePath(const std::string& directory, const char* name) {
+std::string FilePath(const std::string& directory, const std::string& name) {
   return directory + "/" + name;
 }
 
-// Persists one (possibly absent) device to `<directory>/<name>.dat`,
-// ending with a write barrier: the bytes are on stable storage before the
-// manifest that references them is written.
-Status SaveDevice(BlockDevice* device, const std::string& directory,
-                  const char* name) {
+// Persists one (possibly absent) device to `path`, ending with a write
+// barrier: the bytes are on stable storage before the manifest that
+// references them is written.
+Status SaveDevice(BlockDevice* device, const std::string& path) {
   if (device == nullptr) {
     return Status::Ok();
   }
   IR2_ASSIGN_OR_RETURN(std::unique_ptr<FileBlockDevice> file,
-                       FileBlockDevice::Create(DevicePath(directory, name),
-                                               device->block_size()));
+                       FileBlockDevice::Create(path, device->block_size()));
   IR2_RETURN_IF_ERROR(CopyBlocks(device, file.get()));
   return file->Sync();
 }
@@ -1370,25 +1027,18 @@ Status SpatialKeywordDatabase::Save(const std::string& directory) {
                            "): " + ec.message());
   }
   // Make sure every dirty page and superblock is on its device.
-  for (RTreeBase* tree : {static_cast<RTreeBase*>(rtree_.get()),
-                          static_cast<RTreeBase*>(ir2_.get()),
-                          static_cast<RTreeBase*>(mir2_.get()),
-                          static_cast<RTreeBase*>(kc_.get())}) {
+  for (const auto& [s, tree] : Trees()) {
     if (tree != nullptr) {
       IR2_RETURN_IF_ERROR(tree->Flush());
     }
   }
+  for (size_t s = 0; s < kNumStructures; ++s) {
+    IR2_RETURN_IF_ERROR(SaveDevice(
+        io_[s].device.get(),
+        FilePath(directory, std::string(kStructureNames[s]) + ".dat")));
+  }
 
-  IR2_RETURN_IF_ERROR(SaveDevice(object_device_.get(), directory,
-                                 "objects.dat"));
-  IR2_RETURN_IF_ERROR(SaveDevice(rtree_device_.get(), directory,
-                                 "rtree.dat"));
-  IR2_RETURN_IF_ERROR(SaveDevice(ir2_device_.get(), directory, "ir2.dat"));
-  IR2_RETURN_IF_ERROR(SaveDevice(mir2_device_.get(), directory, "mir2.dat"));
-  IR2_RETURN_IF_ERROR(SaveDevice(kc_device_.get(), directory, "kctree.dat"));
-  IR2_RETURN_IF_ERROR(SaveDevice(iio_device_.get(), directory, "iio.dat"));
-
-  std::ofstream manifest(DevicePath(directory, kManifestName),
+  std::ofstream manifest(FilePath(directory, kManifestName),
                          std::ios::trunc);
   if (!manifest) {
     return Status::IoError("cannot write manifest in " + directory);
@@ -1443,7 +1093,7 @@ Status SpatialKeywordDatabase::Save(const std::string& directory) {
   // The manifest is the commit point: fsync it, then the directory, so a
   // crash after Save() returns can never leave a manifest that references
   // missing or partially written device files.
-  IR2_RETURN_IF_ERROR(FsyncPath(DevicePath(directory, kManifestName)));
+  IR2_RETURN_IF_ERROR(FsyncPath(FilePath(directory, kManifestName)));
   IR2_RETURN_IF_ERROR(FsyncPath(directory));
   ResetIoStats();
   return Status::Ok();
@@ -1461,7 +1111,7 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
 
 StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     OpenImpl(const std::string& directory, const DatabaseOptions* runtime) {
-  std::ifstream manifest(DevicePath(directory, kManifestName));
+  std::ifstream manifest(FilePath(directory, kManifestName));
   if (!manifest) {
     return Status::NotFound("no manifest in " + directory);
   }
@@ -1566,56 +1216,36 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
   }
   db->tokenizer_ = Tokenizer(options.stopwords);
 
-  // Object file.
-  IR2_ASSIGN_OR_RETURN(
-      std::unique_ptr<FileBlockDevice> object_device,
-      FileBlockDevice::Open(DevicePath(directory, "objects.dat"),
-                            kDefaultBlockSize, options.file_device));
-  db->object_device_ = std::move(object_device);
-  db->object_pool_ = std::make_unique<BufferPool>(
-      db->object_device_.get(), options.prefetch ? options.pool_blocks : 0);
-  db->object_store_ = std::make_unique<ObjectStore>(
-      db->object_pool_.get(), stats.object_file_bytes);
-
-  if (built_rtree) {
+  if (built_mir2 && mir2_scheme.per_level.empty()) {
+    return Status::Corruption("manifest missing mir2_scheme");
+  }
+  const bool present[kNumStructures] = {true,      built_rtree, built_ir2,
+                                        built_mir2, built_kc,   built_iio};
+  for (size_t s = 0; s < kNumStructures; ++s) {
+    if (!present[s]) continue;
     IR2_ASSIGN_OR_RETURN(
         std::unique_ptr<FileBlockDevice> device,
-        FileBlockDevice::Open(DevicePath(directory, "rtree.dat"),
-                              kDefaultBlockSize, options.file_device));
-    db->rtree_device_ = std::move(device);
-    db->rtree_pool_ = std::make_unique<BufferPool>(db->rtree_device_.get(),
-                                                   options.pool_blocks);
-    db->rtree_ = std::make_unique<RTree>(db->rtree_pool_.get(),
+        FileBlockDevice::Open(
+            FilePath(directory, std::string(kStructureNames[s]) + ".dat"),
+            kDefaultBlockSize, options.file_device));
+    db->Attach(static_cast<Structure>(s), std::move(device));
+  }
+  db->object_store_ = std::make_unique<ObjectStore>(
+      db->io_[kObjects].pool.get(), stats.object_file_bytes);
+  if (built_rtree) {
+    db->rtree_ = std::make_unique<RTree>(db->io_[kRTree].pool.get(),
                                          options.tree_options);
     IR2_RETURN_IF_ERROR(db->rtree_->Load());
   }
   if (built_ir2) {
-    IR2_ASSIGN_OR_RETURN(
-        std::unique_ptr<FileBlockDevice> device,
-        FileBlockDevice::Open(DevicePath(directory, "ir2.dat"),
-                              kDefaultBlockSize, options.file_device));
-    db->ir2_device_ = std::move(device);
-    db->ir2_pool_ = std::make_unique<BufferPool>(db->ir2_device_.get(),
-                                                 options.pool_blocks);
-    db->ir2_ = std::make_unique<Ir2Tree>(db->ir2_pool_.get(),
+    db->ir2_ = std::make_unique<Ir2Tree>(db->io_[kIr2].pool.get(),
                                          options.tree_options,
                                          options.ir2_signature);
     IR2_RETURN_IF_ERROR(db->ir2_->Load());
   }
   if (built_mir2) {
-    if (mir2_scheme.per_level.empty()) {
-      return Status::Corruption("manifest missing mir2_scheme");
-    }
-    IR2_ASSIGN_OR_RETURN(
-        std::unique_ptr<FileBlockDevice> device,
-        FileBlockDevice::Open(DevicePath(directory, "mir2.dat"),
-                              kDefaultBlockSize, options.file_device));
-    db->mir2_device_ = std::move(device);
-    db->mir2_pool_ = std::make_unique<BufferPool>(db->mir2_device_.get(),
-                                                  options.pool_blocks);
-    RTreeOptions mir2_options = options.tree_options;
     db->mir2_ = std::make_unique<Mir2Tree>(
-        db->mir2_pool_.get(), mir2_options, mir2_scheme,
+        db->io_[kMir2].pool.get(), options.tree_options, mir2_scheme,
         db->object_store_.get(), &db->tokenizer_);
     IR2_RETURN_IF_ERROR(db->mir2_->Load());
   }
@@ -1624,27 +1254,14 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
         KcVocabulary vocab,
         KcVocabulary::FromWords(std::move(kc_words), kc_cold));
     db->kc_vocab_ = std::make_unique<KcVocabulary>(std::move(vocab));
-    IR2_ASSIGN_OR_RETURN(
-        std::unique_ptr<FileBlockDevice> device,
-        FileBlockDevice::Open(DevicePath(directory, "kctree.dat"),
-                              kDefaultBlockSize, options.file_device));
-    db->kc_device_ = std::move(device);
-    db->kc_pool_ = std::make_unique<BufferPool>(db->kc_device_.get(),
-                                                options.pool_blocks);
-    db->kc_ = std::make_unique<KcTree>(db->kc_pool_.get(),
+    db->kc_ = std::make_unique<KcTree>(db->io_[kKcTree].pool.get(),
                                        options.tree_options,
                                        db->kc_vocab_.get());
     IR2_RETURN_IF_ERROR(db->kc_->Load());
   }
   if (built_iio) {
-    IR2_ASSIGN_OR_RETURN(
-        std::unique_ptr<FileBlockDevice> device,
-        FileBlockDevice::Open(DevicePath(directory, "iio.dat"),
-                              kDefaultBlockSize, options.file_device));
-    db->iio_device_ = std::move(device);
-    db->iio_pool_ = std::make_unique<BufferPool>(
-        db->iio_device_.get(), options.prefetch ? options.pool_blocks : 0);
-    IR2_ASSIGN_OR_RETURN(db->iio_, InvertedIndex::Open(db->iio_pool_.get()));
+    IR2_ASSIGN_OR_RETURN(db->iio_,
+                         InvertedIndex::Open(db->io_[kIio].pool.get()));
   }
   db->scorer_ = std::make_unique<IrScorer>(
       CorpusStats{stats.num_objects, stats.AvgDocLen()});
@@ -1656,3 +1273,4 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
 }
 
 }  // namespace ir2
+

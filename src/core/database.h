@@ -1,14 +1,16 @@
 #ifndef IR2TREE_CORE_DATABASE_H_
 #define IR2TREE_CORE_DATABASE_H_
 
+#include <array>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/status_or.h"
-#include "core/answer_cache.h"
 #include "core/ir2_tree.h"
 #include "core/kc_tree.h"
 #include "obs/explain.h"
@@ -25,6 +27,8 @@
 #include "text/tokenizer.h"
 
 namespace ir2 {
+
+struct Ir2QueryScratch;
 
 // Corpus statistics computed while building (Table 1 of the paper).
 struct DatasetStats {
@@ -148,10 +152,12 @@ struct DatabaseOptions {
   bool locality_placement = false;
 };
 
-// Owns one dataset plus every index structure of the paper and exposes the
-// four query algorithms over them. This is the facade the examples and the
-// benchmark harness use; each structure lives on its own MemoryBlockDevice
-// so per-structure disk traffic and sizes (Table 2) can be reported.
+// Owns one dataset plus every index structure of the paper and the KC-Tree,
+// and answers distance-first top-k queries over them with any of the five
+// algorithms or the cost-based planner (Query). This is the facade the
+// examples and the benchmark harness use; each structure lives on its own
+// block device so per-structure disk traffic and sizes (Table 2) can be
+// reported.
 class SpatialKeywordDatabase {
  public:
   static StatusOr<std::unique_ptr<SpatialKeywordDatabase>> Build(
@@ -183,40 +189,21 @@ class SpatialKeywordDatabase {
   SpatialKeywordDatabase(const SpatialKeywordDatabase&) = delete;
   SpatialKeywordDatabase& operator=(const SpatialKeywordDatabase&) = delete;
 
-  // ---- The four distance-first algorithms (Section V) ----
-  StatusOr<std::vector<QueryResult>> QueryRTree(const DistanceFirstQuery& q,
-                                                QueryStats* stats = nullptr);
-  StatusOr<std::vector<QueryResult>> QueryIio(const DistanceFirstQuery& q,
-                                              QueryStats* stats = nullptr);
-  StatusOr<std::vector<QueryResult>> QueryIr2(const DistanceFirstQuery& q,
-                                              QueryStats* stats = nullptr);
-  StatusOr<std::vector<QueryResult>> QueryMir2(const DistanceFirstQuery& q,
-                                               QueryStats* stats = nullptr);
-  // Fifth algorithm: KC-Tree traversal (exact hot-word bitmaps + cold-tail
-  // signature; see docs/planner.md).
-  StatusOr<std::vector<QueryResult>> QueryKc(const DistanceFirstQuery& q,
-                                             QueryStats* stats = nullptr);
-
-  // ---- Cost-based auto mode (see docs/planner.md) ----
-  // Prices every candidate algorithm under the DiskModel (zero I/O — tree
+  // ---- Distance-first top-k (Section V) ----
+  // Runs `q` with one of the five fixed algorithms (the paper's four plus
+  // the KC-Tree; see docs/planner.md) or, under kAuto, with the cost-based
+  // planner: it prices every candidate under the DiskModel (zero I/O — tree
   // shapes are snapshotted at Build/Open and keyword frequencies come from
   // the IIO's resident dictionary), executes the cheapest plan, and feeds
   // the observed simulated-disk time back into the planner's EWMA
-  // corrections. `plan_out` (optional) receives the full decision.
-  StatusOr<std::vector<QueryResult>> QueryAuto(const DistanceFirstQuery& q,
-                                               QueryStats* stats = nullptr,
-                                               QueryPlan* plan_out = nullptr);
-
-  // Uniform dispatcher over the five fixed algorithms plus kAuto.
+  // corrections. `plan_out` (optional) receives the planner's decision
+  // under kAuto and is left untouched otherwise. Accumulates into *stats.
   StatusOr<std::vector<QueryResult>> Query(const DistanceFirstQuery& q,
                                            Algorithm algo,
-                                           QueryStats* stats = nullptr);
+                                           QueryStats* stats = nullptr,
+                                           QueryPlan* plan_out = nullptr);
 
   // ---- EXPLAIN (see docs/observability.md) ----
-  // Historical spelling: EXPLAIN predates Algorithm/kAuto and kept its
-  // enumerator set when the planner subsumed it.
-  using ExplainAlgo = Algorithm;
-
   struct ExplainResult {
     // Where the query's work and simulated milliseconds went; render with
     // report.ToString().
@@ -230,11 +217,11 @@ class SpatialKeywordDatabase {
   // Runs `q` under `algo` with a per-query tracer installed and reports
   // QueryStats, per-level pruning, pool/cache hit ratios, the
   // demand/physical/speculative I/O split, the DiskModel time breakdown,
-  // and a span summary. Exactly the same execution path as the Query*
-  // methods — tracing adds no I/O, so the reported counts match an
-  // untraced run of the same query.
+  // and a span summary. Exactly the same execution path as Query() —
+  // tracing adds no I/O, so the reported counts match an untraced run of
+  // the same query.
   StatusOr<ExplainResult> Explain(const DistanceFirstQuery& q,
-                                  ExplainAlgo algo = ExplainAlgo::kIr2);
+                                  Algorithm algo = Algorithm::kIr2);
 
   // General ranking-function query (Section V-C) over the IR2- or
   // MIR2-Tree. Requires build_iio (for keyword idfs).
@@ -248,19 +235,11 @@ class SpatialKeywordDatabase {
   StatusOr<std::vector<ObjectRef>> KeywordMatches(
       const std::vector<std::string>& keywords, QueryStats* stats = nullptr);
 
-  // ---- Semantic result cache (core/answer_cache.h) ----
-  // Installs (nullptr detaches) the answer-cache hook QueryAuto consults
-  // before planning. The hook must outlive the database or be detached
-  // first; the fixed-algorithm Query* methods never consult it, so cold
-  // regression goldens are untouched by construction. Serving tiers that
-  // cache above the scatter-gather (ShardedDatabase) leave the per-shard
-  // hooks unset.
-  void SetResultCache(AnswerCacheHook* hook) { result_cache_ = hook; }
-  AnswerCacheHook* result_cache() const { return result_cache_; }
   // Sum of the mutation counters (RTreeBase::version) of every built tree:
   // moves whenever an Insert/Delete/BulkLoad stores a node. The NodeCache
-  // invalidation rule lifted to whole answers — cached results filled under
-  // an older epoch are rejected on read.
+  // invalidation rule lifted to whole answers — a serving tier's result
+  // cache (serving/result_cache.h) rejects entries filled under an older
+  // epoch.
   uint64_t MutationEpoch() const;
 
   // ---- Measurement control ----
@@ -291,23 +270,67 @@ class SpatialKeywordDatabase {
   // under (shared by all devices; they use one block size).
   DiskModel disk_model() const { return DiskModel(options_.disk_model); }
   // Per-structure prefetch schedulers (null for structures not built).
-  IoScheduler* object_scheduler() { return object_scheduler_.get(); }
-  IoScheduler* rtree_scheduler() { return rtree_scheduler_.get(); }
-  IoScheduler* ir2_scheduler() { return ir2_scheduler_.get(); }
-  IoScheduler* mir2_scheduler() { return mir2_scheduler_.get(); }
-  IoScheduler* kc_scheduler() { return kc_scheduler_.get(); }
-  IoScheduler* iio_scheduler() { return iio_scheduler_.get(); }
+  IoScheduler* object_scheduler() { return schedulers_[kObjects].get(); }
+  IoScheduler* rtree_scheduler() { return schedulers_[kRTree].get(); }
+  IoScheduler* ir2_scheduler() { return schedulers_[kIr2].get(); }
+  IoScheduler* mir2_scheduler() { return schedulers_[kMir2].get(); }
+  IoScheduler* kc_scheduler() { return schedulers_[kKcTree].get(); }
+  IoScheduler* iio_scheduler() { return schedulers_[kIio].get(); }
 
   // Structure sizes in bytes (Table 2).
-  uint64_t ObjectFileBytes() const;
-  uint64_t RTreeBytes() const;
-  uint64_t Ir2TreeBytes() const;
-  uint64_t Mir2TreeBytes() const;
-  uint64_t KcTreeBytes() const;
-  uint64_t IioBytes() const;
+  uint64_t ObjectFileBytes() const { return DeviceBytes(kObjects); }
+  uint64_t RTreeBytes() const { return DeviceBytes(kRTree); }
+  uint64_t Ir2TreeBytes() const { return DeviceBytes(kIr2); }
+  uint64_t Mir2TreeBytes() const { return DeviceBytes(kMir2); }
+  uint64_t KcTreeBytes() const { return DeviceBytes(kKcTree); }
+  uint64_t IioBytes() const { return DeviceBytes(kIio); }
 
  private:
+  // Database-mode batches run the same traversals as Query() on worker
+  // threads, through Execute.
+  friend class BatchExecutor;
+
+  // Every stored structure, one block device (plus buffer pool and
+  // prefetch scheduler) each. kStructureNames[s] is both the structure's
+  // EXPLAIN row label and its `<name>.dat` file in a saved directory.
+  enum Structure : size_t { kObjects, kRTree, kIr2, kMir2, kKcTree, kIio,
+                            kNumStructures };
+  static constexpr const char* kStructureNames[kNumStructures] = {
+      "objects", "rtree", "ir2", "mir2", "kctree", "iio"};
+
+  // Where one structure's blocks live. The pool is destroyed before the
+  // device it reads. Tree pools cache nodes during construction; the
+  // object/IIO pools exist for the prefetch engine and run in bypass mode
+  // (capacity 0) when prefetching is off, which keeps physical disk counts
+  // byte-identical to the pool-less layering.
+  struct StructureIo {
+    std::unique_ptr<BlockDevice> device;
+    std::unique_ptr<BufferPool> pool;
+  };
+
   SpatialKeywordDatabase() = default;
+
+  // Wraps `device` in the pool structure `s` reads through (see
+  // StructureIo).
+  StructureIo MakeIo(Structure s, std::unique_ptr<BlockDevice> device) const;
+  // MakeIo, installed as structure `s`; returns the new pool.
+  BufferPool* Attach(Structure s, std::unique_ptr<BlockDevice> device);
+
+  // Builds one tree on a fresh memory device: `make` constructs it over a
+  // pool and `fill` loads it. With locality_placement (incremental builds
+  // only) the filled tree is rewritten by CompactInto onto a second fresh
+  // device in DFS layout, which then replaces the first.
+  template <typename Tree, typename Make, typename Fill>
+  StatusOr<std::unique_ptr<Tree>> BuildTree(Structure s, Make make,
+                                            Fill fill);
+
+  // The four trees (null when not built) with the structure each one's
+  // blocks live in.
+  std::array<std::pair<Structure, RTreeBase*>, 4> Trees() const;
+
+  uint64_t DeviceBytes(Structure s) const {
+    return io_[s].device ? io_[s].device->SizeBytes() : 0;
+  }
 
   // Shared Open body. When `runtime` is non-null its runtime-class fields
   // replace the manifest's; null keeps the manifest values (legacy form).
@@ -326,19 +349,22 @@ class SpatialKeywordDatabase {
   // snapshot's reads never appear in any measurement.
   Status WirePlanner();
 
-  // QueryAuto minus the result-cache consult: plan, execute, feed back.
-  StatusOr<std::vector<QueryResult>> QueryAutoPlanned(
-      const DistanceFirstQuery& q, QueryStats* stats, QueryPlan* plan_out);
-  // Full QueryAuto path with the reuse decision surfaced (EXPLAIN).
-  StatusOr<std::vector<QueryResult>> QueryAutoCached(
-      const DistanceFirstQuery& q, QueryStats* stats, QueryPlan* plan_out,
-      CacheReuseCheck* check_out);
+  // The one map from a fixed algorithm to its traversal: checks that the
+  // structure was built, wires the structure's prefetch schedulers, lets
+  // the tree traversals sweep the object file (MaybeSweepObjectFile), and
+  // runs the search into *stats. No cache drop, timing or I/O accounting —
+  // callers wrap it (RunQuery, or a BatchExecutor worker). kAuto is an
+  // error here: plan first.
+  StatusOr<std::vector<QueryResult>> Execute(
+      Algorithm algo, const DistanceFirstQuery& q, QueryStats* stats,
+      Ir2QueryScratch* scratch = nullptr);
 
   // Shared prologue/epilogue of every query method: optional cache drop,
-  // timing, three-way I/O diffing (demand / physical / speculative) and
-  // simulated-time pricing.
+  // timing, three-way I/O diffing (demand / physical / speculative),
+  // simulated-time pricing, the kQuery span and the core query metrics.
+  // `fn(QueryStats*)` returns StatusOr<T>; so does RunQuery.
   template <typename Fn>
-  StatusOr<std::vector<QueryResult>> RunQuery(QueryStats* stats, Fn&& fn);
+  std::invoke_result_t<Fn&, QueryStats*> RunQuery(QueryStats* stats, Fn&& fn);
 
   // Per-calling-thread pool-level (logical demand) request counters summed
   // over every pool.
@@ -366,28 +392,11 @@ class SpatialKeywordDatabase {
   DatabaseOptions options_;
   DatasetStats stats_;
   Tokenizer tokenizer_;
-  AnswerCacheHook* result_cache_ = nullptr;  // Not owned.
 
-  // Devices first, pools second, trees third: members are destroyed in
-  // reverse order, so trees flush into live pools and pools into live
-  // devices. Memory-backed when Build()t, file-backed when Open()ed.
-  std::unique_ptr<BlockDevice> object_device_;
-  std::unique_ptr<BlockDevice> rtree_device_;
-  std::unique_ptr<BlockDevice> ir2_device_;
-  std::unique_ptr<BlockDevice> mir2_device_;
-  std::unique_ptr<BlockDevice> kc_device_;
-  std::unique_ptr<BlockDevice> iio_device_;
-
-  // Tree pools cache nodes during construction; the object/IIO pools exist
-  // for the prefetch engine and run in bypass mode (capacity 0) when
-  // prefetching is off, which keeps physical disk counts byte-identical to
-  // the pool-less layering.
-  std::unique_ptr<BufferPool> object_pool_;
-  std::unique_ptr<BufferPool> rtree_pool_;
-  std::unique_ptr<BufferPool> ir2_pool_;
-  std::unique_ptr<BufferPool> mir2_pool_;
-  std::unique_ptr<BufferPool> kc_pool_;
-  std::unique_ptr<BufferPool> iio_pool_;
+  // Declared before the trees, so every tree is destroyed (flushing into
+  // its pool) before the pools and devices; memory-backed when Build()t,
+  // file-backed when Open()ed.
+  std::array<StructureIo, kNumStructures> io_;
 
   std::unique_ptr<ObjectStore> object_store_;
   std::unique_ptr<RTree> rtree_;
@@ -406,14 +415,10 @@ class SpatialKeywordDatabase {
   // worker may be blocked in Submit/Reap on its backend until it stops.
   std::vector<std::unique_ptr<AsyncIoBackend>> async_backends_;
 
-  // Schedulers last: destroyed first, so their worker threads stop touching
-  // the pools before anything above is torn down.
-  std::unique_ptr<IoScheduler> object_scheduler_;
-  std::unique_ptr<IoScheduler> rtree_scheduler_;
-  std::unique_ptr<IoScheduler> ir2_scheduler_;
-  std::unique_ptr<IoScheduler> mir2_scheduler_;
-  std::unique_ptr<IoScheduler> kc_scheduler_;
-  std::unique_ptr<IoScheduler> iio_scheduler_;
+  // Schedulers last (indexed by Structure, null for structures not built):
+  // destroyed first, so their worker threads stop touching the pools
+  // before anything above is torn down.
+  std::array<std::unique_ptr<IoScheduler>, kNumStructures> schedulers_;
 };
 
 }  // namespace ir2

@@ -6,9 +6,10 @@
 //   #include "ir2tree.h"
 //
 //   auto db = ir2::SpatialKeywordDatabase::Build(objects, options).value();
-//   auto results = db->QueryIr2({.point = {30.5, 100.0},
-//                                .keywords = {"internet", "pool"},
-//                                .k = 2}).value();
+//   auto results = db->Query({.point = {30.5, 100.0},
+//                              .keywords = {"internet", "pool"},
+//                              .k = 2},
+//                             ir2::Algorithm::kIr2).value();
 //
 // Lower-level building blocks (trees, cursors, devices) are included for
 // callers that need them; see README.md for the architecture map.

@@ -15,7 +15,7 @@
 // carries a flat QueryLogStats mirror of the interesting core::QueryStats
 // fields instead of the struct itself; serving does the conversion.
 //
-// ScopedPlanAudit is the planner audit hook: Database::QueryAuto reports
+// ScopedPlanAudit is the planner audit hook: Database::Query(kAuto) reports
 // (chosen algorithm, predicted cost, observed cost) to a thread-local sink
 // when one is installed, so the serving tier can attribute planner
 // mispricing per logged query without threading a parameter through every
@@ -124,7 +124,7 @@ class QueryLog {
   uint64_t recorded_ = 0;
 };
 
-// Sums of what QueryAuto reported while the scope was installed on this
+// Sums of what Query(kAuto) reported while the scope was installed on this
 // thread.
 struct PlanAudit {
   std::string algo;  // Last chosen algorithm's name.
@@ -135,7 +135,7 @@ struct PlanAudit {
 
 // Installs this thread's plan-audit sink for its lifetime (scopes nest;
 // the previous sink is restored on destruction). Cost when no scope is
-// installed is one thread_local load in QueryAuto.
+// installed is one thread_local load in Query(kAuto).
 class ScopedPlanAudit {
  public:
   ScopedPlanAudit();
@@ -145,7 +145,7 @@ class ScopedPlanAudit {
 
   const PlanAudit& audit() const { return audit_; }
 
-  // Called by Database::QueryAuto after executing a plan; no-op when the
+  // Called by Database::Query(kAuto) after executing a plan; no-op when the
   // calling thread has no installed scope.
   static void Record(std::string_view algo, double predicted_ms,
                      double observed_ms);

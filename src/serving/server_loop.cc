@@ -172,7 +172,7 @@ void ServerLoop::WorkerMain() {
     obs::PlanAudit audit;
     if (options_.telemetry) {
       // The audit sink lives for exactly this query: every shard leg's
-      // QueryAuto reports its chosen plan and predicted/observed cost here.
+      // Query(kAuto) reports its chosen plan and predicted/observed cost here.
       obs::ScopedPlanAudit scoped;
       results = db_->Query(request.query, options_.algorithm, &stats);
       audit = scoped.audit();

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/stopwatch.h"
 #include "obs/trace.h"
 
 namespace ir2 {
@@ -144,6 +145,8 @@ StatusOr<std::vector<QueryResult>> ShardedDatabase::Query(
 StatusOr<std::vector<QueryResult>> ShardedDatabase::QueryCached(
     const DistanceFirstQuery& q, Algorithm algo, QueryStats* stats,
     std::vector<ShardLeg>* legs, CacheReuseCheck* check_out) {
+  // A hit's wall time is this probe: normalization, epoch, lookup.
+  Stopwatch probe;
   // One canonical normalization at the facade: the cache key and every
   // shard leg share it (shard-side normalization is idempotent, so legs do
   // no extra semantic work).
@@ -162,6 +165,7 @@ StatusOr<std::vector<QueryResult>> ShardedDatabase::QueryCached(
   std::vector<QueryResult> cached;
   if (cache_->TryServe(canonical, epoch, &cached, &check)) {
     if (stats != nullptr) {
+      stats->seconds += probe.ElapsedSeconds();
       if (check.exact || check.exhaustive) {
         ++stats->result_cache_hits;
       } else {
@@ -267,18 +271,14 @@ StatusOr<std::vector<QueryResult>> ShardedDatabase::QueryImpl(
          kth < *leg_query.max_distance)) {
       leg_query.max_distance = kth;
     }
-    auto shard_results = [&]() -> StatusOr<std::vector<QueryResult>> {
+    QueryPlan plan;
+    auto shard_results = [&] {
       obs::TraceSpan span(obs::SpanKind::kShardFanout, entry.shard);
-      if (algo == Algorithm::kAuto) {
-        QueryPlan plan;
-        auto results =
-            shards_[entry.shard]->QueryAuto(leg_query, &leg.stats, &plan);
-        leg.executed = plan.has_choice ? plan.chosen : Algorithm::kAuto;
-        return results;
-      }
-      leg.executed = algo;
-      return shards_[entry.shard]->Query(leg_query, algo, &leg.stats);
+      return shards_[entry.shard]->Query(leg_query, algo, &leg.stats, &plan);
     }();
+    leg.executed = algo != Algorithm::kAuto ? algo
+                   : plan.has_choice        ? plan.chosen
+                                            : Algorithm::kAuto;
     IR2_RETURN_IF_ERROR(shard_results.status());
     if (stats != nullptr) *stats += leg.stats;
     leg.results_returned = shard_results.value().size();

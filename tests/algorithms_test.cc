@@ -46,7 +46,8 @@ TEST_F(Figure1Test, Example1NearestNeighborOrder) {
   query.point = Figure1QueryPoint();
   query.keywords = {};  // No keyword filter: plain NN.
   query.k = 8;
-  std::vector<QueryResult> results = db_->QueryRTree(query).value();
+  std::vector<QueryResult> results =
+      db_->Query(query, Algorithm::kRTree).value();
   EXPECT_EQ(ResultIds(results),
             (std::vector<uint32_t>{4, 3, 5, 8, 6, 1, 7, 2}));
   EXPECT_NEAR(results[0].distance, 18.5, 0.05);
@@ -61,12 +62,12 @@ TEST_F(Figure1Test, Examples2And3Top2InternetPool) {
   query.k = 2;
   const std::vector<uint32_t> expected = {7, 2};
 
-  EXPECT_EQ(ResultIds(db_->QueryRTree(query).value()), expected);
-  EXPECT_EQ(ResultIds(db_->QueryIio(query).value()), expected);
-  EXPECT_EQ(ResultIds(db_->QueryIr2(query).value()), expected);
-  EXPECT_EQ(ResultIds(db_->QueryMir2(query).value()), expected);
+  EXPECT_EQ(ResultIds(db_->Query(query, Algorithm::kRTree).value()), expected);
+  EXPECT_EQ(ResultIds(db_->Query(query, Algorithm::kIio).value()), expected);
+  EXPECT_EQ(ResultIds(db_->Query(query, Algorithm::kIr2).value()), expected);
+  EXPECT_EQ(ResultIds(db_->Query(query, Algorithm::kMir2).value()), expected);
 
-  std::vector<QueryResult> results = db_->QueryIr2(query).value();
+  std::vector<QueryResult> results = db_->Query(query, Algorithm::kIr2).value();
   EXPECT_NEAR(results[0].distance, 181.9, 0.05);  // H7.
   EXPECT_NEAR(results[1].distance, 222.8, 0.05);  // H2.
 }
@@ -76,10 +77,10 @@ TEST_F(Figure1Test, KeywordsNobodyHasReturnEmpty) {
   query.point = Figure1QueryPoint();
   query.keywords = {"internet", "sauna", "golf"};
   query.k = 5;
-  EXPECT_TRUE(db_->QueryRTree(query).value().empty());
-  EXPECT_TRUE(db_->QueryIio(query).value().empty());
-  EXPECT_TRUE(db_->QueryIr2(query).value().empty());
-  EXPECT_TRUE(db_->QueryMir2(query).value().empty());
+  EXPECT_TRUE(db_->Query(query, Algorithm::kRTree).value().empty());
+  EXPECT_TRUE(db_->Query(query, Algorithm::kIio).value().empty());
+  EXPECT_TRUE(db_->Query(query, Algorithm::kIr2).value().empty());
+  EXPECT_TRUE(db_->Query(query, Algorithm::kMir2).value().empty());
 }
 
 TEST_F(Figure1Test, KLargerThanMatchesReturnsAllMatches) {
@@ -88,7 +89,8 @@ TEST_F(Figure1Test, KLargerThanMatchesReturnsAllMatches) {
   query.keywords = {"pool"};
   query.k = 50;
   // Pool hotels: H2, H3, H4, H7, H8.
-  std::vector<uint32_t> ids = ResultIds(db_->QueryIr2(query).value());
+  std::vector<uint32_t> ids =
+      ResultIds(db_->Query(query, Algorithm::kIr2).value());
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<uint32_t>{2, 3, 4, 7, 8}));
 }
@@ -149,10 +151,10 @@ TEST_P(AgreementSweep, AllAlgorithmsAgreeWithBruteForce) {
     std::vector<uint32_t> expected = BruteForceDistanceFirst(
         objects, query.point, query.keywords, query.k);
 
-    auto rtree = db->QueryRTree(query).value();
-    auto iio = db->QueryIio(query).value();
-    auto ir2 = db->QueryIr2(query).value();
-    auto mir2 = db->QueryMir2(query).value();
+    auto rtree = db->Query(query, Algorithm::kRTree).value();
+    auto iio = db->Query(query, Algorithm::kIio).value();
+    auto ir2 = db->Query(query, Algorithm::kIr2).value();
+    auto mir2 = db->Query(query, Algorithm::kMir2).value();
 
     EXPECT_EQ(ResultIds(rtree), expected) << "R-Tree, iter " << iter;
     EXPECT_EQ(ResultIds(iio), expected) << "IIO, iter " << iter;
@@ -256,8 +258,8 @@ TEST(QueryStatsTest, Ir2PrunesMoreVisitsFewerObjectsThanRTree) {
   query.k = 4;
 
   QueryStats rtree_stats, ir2_stats;
-  (void)db->QueryRTree(query, &rtree_stats).value();
-  (void)db->QueryIr2(query, &ir2_stats).value();
+  (void)db->Query(query, Algorithm::kRTree, &rtree_stats).value();
+  (void)db->Query(query, Algorithm::kIr2, &ir2_stats).value();
 
   // The whole point of the IR2-Tree: far fewer object accesses.
   EXPECT_LT(ir2_stats.objects_loaded, rtree_stats.objects_loaded);

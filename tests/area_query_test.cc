@@ -104,10 +104,10 @@ TEST(AreaQueryTest, AllAlgorithmsAgreeOnAreaTargets) {
 
     std::vector<uint32_t> expected =
         BruteForceAreaQuery(objects, *query.area, query.keywords, query.k);
-    EXPECT_EQ(ResultIds(db->QueryRTree(query).value()), expected);
-    EXPECT_EQ(ResultIds(db->QueryIio(query).value()), expected);
-    EXPECT_EQ(ResultIds(db->QueryIr2(query).value()), expected);
-    EXPECT_EQ(ResultIds(db->QueryMir2(query).value()), expected);
+    EXPECT_EQ(ResultIds(db->Query(query, Algorithm::kRTree).value()), expected);
+    EXPECT_EQ(ResultIds(db->Query(query, Algorithm::kIio).value()), expected);
+    EXPECT_EQ(ResultIds(db->Query(query, Algorithm::kIr2).value()), expected);
+    EXPECT_EQ(ResultIds(db->Query(query, Algorithm::kMir2).value()), expected);
   }
 }
 
@@ -121,7 +121,7 @@ TEST(AreaQueryTest, ObjectsInsideAreaComeFirstAtDistanceZero) {
   query.area = Rect(Point(200, 200), Point(800, 800));
   query.keywords = {};
   query.k = 200;
-  std::vector<QueryResult> results = db->QueryIr2(query).value();
+  std::vector<QueryResult> results = db->Query(query, Algorithm::kIr2).value();
   ASSERT_EQ(results.size(), 200u);
   bool seen_positive = false;
   for (const QueryResult& result : results) {

@@ -188,10 +188,13 @@ TEST(BulkLoadTest, DatabaseBulkMatchesIncrementalResults) {
     query.k = 10;
     std::vector<uint32_t> expected = BruteForceDistanceFirst(
         objects, query.point, query.keywords, query.k);
-    EXPECT_EQ(ResultIds(bulk->QueryRTree(query).value()), expected);
-    EXPECT_EQ(ResultIds(bulk->QueryIr2(query).value()), expected);
-    EXPECT_EQ(ResultIds(bulk->QueryMir2(query).value()), expected);
-    EXPECT_EQ(ResultIds(incremental->QueryIr2(query).value()), expected);
+    for (Algorithm algo :
+         {Algorithm::kRTree, Algorithm::kIr2, Algorithm::kMir2}) {
+      EXPECT_EQ(ResultIds(bulk->Query(query, algo).value()), expected)
+          << AlgorithmName(algo);
+    }
+    EXPECT_EQ(ResultIds(incremental->Query(query, Algorithm::kIr2).value()),
+              expected);
   }
 }
 

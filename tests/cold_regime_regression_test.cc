@@ -22,6 +22,7 @@
 #include "datagen/workload.h"
 #include "obs/trace.h"
 #include "serving/result_cache.h"
+#include "serving/sharded_database.h"
 #include "tests/test_util.h"
 
 namespace ir2 {
@@ -96,7 +97,7 @@ class ColdRegimeRegressionTest : public ::testing::Test {
 TEST_F(ColdRegimeRegressionTest, Ir2CountsMatchGolden) {
   QueryStats stats =
       RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-        return db_->QueryIr2(q, s);
+        return db_->Query(q, Algorithm::kIr2, s);
       });
   ExpectProfile(stats, GoldenProfile{217, 13, 992, 10596, 1171, 41}, "IR2");
 }
@@ -104,7 +105,7 @@ TEST_F(ColdRegimeRegressionTest, Ir2CountsMatchGolden) {
 TEST_F(ColdRegimeRegressionTest, Mir2CountsMatchGolden) {
   QueryStats stats =
       RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-        return db_->QueryMir2(q, s);
+        return db_->Query(q, Algorithm::kMir2, s);
       });
   ExpectProfile(stats, GoldenProfile{215, 11, 885, 9374, 1067, 36}, "MIR2");
 }
@@ -112,7 +113,7 @@ TEST_F(ColdRegimeRegressionTest, Mir2CountsMatchGolden) {
 TEST_F(ColdRegimeRegressionTest, RTreeCountsMatchGolden) {
   QueryStats stats =
       RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-        return db_->QueryRTree(q, s);
+        return db_->Query(q, Algorithm::kRTree, s);
       });
   ExpectProfile(stats, GoldenProfile{14236, 14032, 1554, 0, 14578, 1457},
                 "R-Tree");
@@ -128,13 +129,13 @@ TEST_F(ColdRegimeRegressionTest, TracingPerturbsNoColdCounts) {
   obs::ScopedTracer scoped(&tracer);
   QueryStats ir2_stats =
       RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-        return db_->QueryIr2(q, s);
+        return db_->Query(q, Algorithm::kIr2, s);
       });
   ExpectProfile(ir2_stats, GoldenProfile{217, 13, 992, 10596, 1171, 41},
                 "IR2 traced");
   QueryStats mir2_stats =
       RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-        return db_->QueryMir2(q, s);
+        return db_->Query(q, Algorithm::kMir2, s);
       });
   ExpectProfile(mir2_stats, GoldenProfile{215, 11, 885, 9374, 1067, 36},
                 "MIR2 traced");
@@ -144,7 +145,7 @@ TEST_F(ColdRegimeRegressionTest, TracingPerturbsNoColdCounts) {
 TEST_F(ColdRegimeRegressionTest, IioCountsMatchGolden) {
   QueryStats stats =
       RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-        return db_->QueryIio(q, s);
+        return db_->Query(q, Algorithm::kIio, s);
       });
   ExpectProfile(stats, GoldenProfile{302, 0, 0, 0, 232, 140}, "IIO");
 }
@@ -159,7 +160,7 @@ TEST_F(ColdRegimeRegressionTest, IioCountsMatchGolden) {
 TEST_F(ColdRegimeRegressionTest, KcTreeCountsMatchGolden) {
   QueryStats stats =
       RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-        return db_->QueryKc(q, s);
+        return db_->Query(q, Algorithm::kKcTree, s);
       });
   ExpectProfile(stats, GoldenProfile{204, 0, 873, 9304, 1041, 39}, "KC");
   EXPECT_EQ(stats.kc_bitmap_tests, 10510u);
@@ -175,28 +176,31 @@ TEST_F(ColdRegimeRegressionTest, KcTreeCountsMatchGolden) {
             stats.kc_bitmap_prunes + stats.kc_signature_prunes);
 }
 
-// The semantic result cache hangs off QueryAuto only; the fixed-algorithm
-// Query* methods never consult it, by construction. This pins that
-// construction: with a cache installed, every fixed-algorithm cold-regime
-// golden must still match byte for byte, and the cache must not have seen
-// a single request afterwards — the paper's measured profiles cannot be
-// perturbed by a serving-layer cache that happens to be attached.
+// The semantic result cache lives in the serving tier and answers kAuto
+// only; fixed-algorithm queries bypass it by construction. This pins that
+// construction: with this database fronted by a one-shard tier with the
+// cache enabled, every fixed-algorithm cold-regime golden must still match
+// byte for byte, and the cache must not have seen a single request
+// afterwards — the paper's measured profiles cannot be perturbed by a
+// serving-layer cache that happens to be attached.
 TEST_F(ColdRegimeRegressionTest, ResultCachePerturbsNoColdCounts) {
-  serving::ResultCache cache;
-  db_->SetResultCache(&cache);
+  auto tier = serving::ShardedDatabase::WrapSingle(std::move(db_));
+  ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+  serving::ShardedDatabase& cached = *tier.value();
+  cached.EnableResultCache();
   QueryStats ir2_stats =
       RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-        return db_->QueryIr2(q, s);
+        return cached.Query(q, Algorithm::kIr2, s);
       });
   ExpectProfile(ir2_stats, GoldenProfile{217, 13, 992, 10596, 1171, 41},
                 "IR2 with cache attached");
   QueryStats mir2_stats =
       RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-        return db_->QueryMir2(q, s);
+        return cached.Query(q, Algorithm::kMir2, s);
       });
   ExpectProfile(mir2_stats, GoldenProfile{215, 11, 885, 9374, 1067, 36},
                 "MIR2 with cache attached");
-  const serving::ResultCache::Stats stats = cache.GetStats();
+  const serving::ResultCache::Stats stats = cached.result_cache()->GetStats();
   EXPECT_EQ(stats.ticks, 0u);
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(ir2_stats.result_cache_hits + ir2_stats.result_cache_near_hits +
@@ -204,7 +208,6 @@ TEST_F(ColdRegimeRegressionTest, ResultCachePerturbsNoColdCounts) {
                 mir2_stats.result_cache_near_hits +
                 mir2_stats.result_cache_misses,
             0u);
-  db_->SetResultCache(nullptr);
 }
 
 // Physical accesses this thread has performed against every device the
@@ -267,7 +270,7 @@ TEST_F(ColdRegimeRegressionTest, AutoModePerturbsNoColdCounts) {
     QueryStats auto_stats;
     QueryPlan plan;
     ResetCursors(*db_);
-    auto auto_results = db_->QueryAuto(query, &auto_stats, &plan);
+    auto auto_results = db_->Query(query, Algorithm::kAuto, &auto_stats, &plan);
     ASSERT_TRUE(auto_results.ok()) << auto_results.status().ToString();
     QueryStats fixed_stats;
     ResetCursors(*db_);
@@ -298,19 +301,19 @@ TEST_F(ColdRegimeRegressionTest, SimdTierPerturbsNoColdCounts) {
     }
     QueryStats ir2_stats =
         RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-          return db_->QueryIr2(q, s);
+          return db_->Query(q, Algorithm::kIr2, s);
         });
     ExpectProfile(ir2_stats, GoldenProfile{217, 13, 992, 10596, 1171, 41},
                   simd::LevelName(level));
     QueryStats mir2_stats =
         RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-          return db_->QueryMir2(q, s);
+          return db_->Query(q, Algorithm::kMir2, s);
         });
     ExpectProfile(mir2_stats, GoldenProfile{215, 11, 885, 9374, 1067, 36},
                   simd::LevelName(level));
     QueryStats iio_stats =
         RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-          return db_->QueryIio(q, s);
+          return db_->Query(q, Algorithm::kIio, s);
         });
     ExpectProfile(iio_stats, GoldenProfile{302, 0, 0, 0, 232, 140},
                   simd::LevelName(level));
@@ -319,7 +322,7 @@ TEST_F(ColdRegimeRegressionTest, SimdTierPerturbsNoColdCounts) {
     // must reproduce the hybrid pruning split bit for bit.
     QueryStats kc_stats =
         RunAll([&](const DistanceFirstQuery& q, QueryStats* s) {
-          return db_->QueryKc(q, s);
+          return db_->Query(q, Algorithm::kKcTree, s);
         });
     ExpectProfile(kc_stats, GoldenProfile{204, 0, 873, 9304, 1041, 39},
                   simd::LevelName(level));
@@ -351,19 +354,19 @@ TEST_F(ColdRegimeRegressionTest, FileBackendMatchesMemoryGoldens) {
   // change the profile for reasons unrelated to the storage backend.
   QueryStats ir2_stats;
   for (const DistanceFirstQuery& query : queries_) {
-    ASSERT_TRUE(file_db->QueryIr2(query, &ir2_stats).ok());
+    ASSERT_TRUE(file_db->Query(query, Algorithm::kIr2, &ir2_stats).ok());
   }
   QueryStats mir2_stats;
   for (const DistanceFirstQuery& query : queries_) {
-    ASSERT_TRUE(file_db->QueryMir2(query, &mir2_stats).ok());
+    ASSERT_TRUE(file_db->Query(query, Algorithm::kMir2, &mir2_stats).ok());
   }
   QueryStats iio_stats;
   for (const DistanceFirstQuery& query : queries_) {
-    ASSERT_TRUE(file_db->QueryIio(query, &iio_stats).ok());
+    ASSERT_TRUE(file_db->Query(query, Algorithm::kIio, &iio_stats).ok());
   }
   QueryStats kc_stats;
   for (const DistanceFirstQuery& query : queries_) {
-    ASSERT_TRUE(file_db->QueryKc(query, &kc_stats).ok());
+    ASSERT_TRUE(file_db->Query(query, Algorithm::kKcTree, &kc_stats).ok());
   }
   ExpectProfile(ir2_stats, GoldenProfile{217, 13, 992, 10596, 1171, 41},
                 "IR2 on files");

@@ -178,7 +178,8 @@ TEST(ConcurrencyTest, BatchExecutorWithNodeCacheHammer) {
   // Serial uncached reference results.
   std::vector<std::vector<uint32_t>> expected;
   for (const DistanceFirstQuery& query : queries) {
-    expected.push_back(testing_util::ResultIds(db->QueryIr2(query).value()));
+    expected.push_back(
+        testing_util::ResultIds(db->Query(query, Algorithm::kIr2).value()));
   }
 
   NodeCacheOptions cache_options;

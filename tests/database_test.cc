@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "core/batch_executor.h"
 #include "core/database.h"
 #include "tests/test_util.h"
 
@@ -48,20 +49,46 @@ TEST(DatabaseTest, StructureSizesPopulated) {
 
 TEST(DatabaseTest, SelectiveBuildSkipsStructures) {
   std::vector<StoredObject> objects = RandomObjects(3, 50, 10, 3);
-  DatabaseOptions options;
-  options.tree_options.capacity_override = 4;
-  options.build_rtree = false;
-  options.build_mir2 = false;
-  auto db = SpatialKeywordDatabase::Build(objects, options).value();
-  EXPECT_EQ(db->RTreeBytes(), 0u);
-  EXPECT_EQ(db->Mir2TreeBytes(), 0u);
   DistanceFirstQuery query;
   query.point = Point(0, 0);
   query.k = 3;
-  EXPECT_FALSE(db->QueryRTree(query).ok());
-  EXPECT_FALSE(db->QueryMir2(query).ok());
-  EXPECT_TRUE(db->QueryIr2(query).ok());
-  EXPECT_TRUE(db->QueryIio(query).ok());
+  const std::vector<DistanceFirstQuery> batch = {query};
+  constexpr Algorithm kAll[] = {Algorithm::kRTree, Algorithm::kIio,
+                                Algorithm::kIr2,   Algorithm::kMir2,
+                                Algorithm::kKcTree, Algorithm::kAuto};
+  // One database per algorithm with exactly that algorithm's structure (the
+  // planner, for kAuto) left out.
+  for (Algorithm absent : kAll) {
+    SCOPED_TRACE(AlgorithmName(absent));
+    DatabaseOptions options;
+    options.tree_options.capacity_override = 4;
+    options.build_rtree = absent != Algorithm::kRTree;
+    options.build_iio = absent != Algorithm::kIio;
+    options.build_ir2 = absent != Algorithm::kIr2;
+    options.build_mir2 = absent != Algorithm::kMir2;
+    options.build_kc = absent != Algorithm::kKcTree;
+    options.build_planner = absent != Algorithm::kAuto;
+    auto db = SpatialKeywordDatabase::Build(objects, options).value();
+    EXPECT_EQ(db->RTreeBytes() == 0, absent == Algorithm::kRTree);
+    EXPECT_EQ(db->Mir2TreeBytes() == 0, absent == Algorithm::kMir2);
+    EXPECT_EQ(db->KcTreeBytes() == 0, absent == Algorithm::kKcTree);
+
+    EXPECT_EQ(db->Query(query, absent).status().code(),
+              StatusCode::kFailedPrecondition);
+    BatchExecutorOptions batch_options;
+    batch_options.algorithm = absent;
+    BatchExecutor executor(db.get(), batch_options);
+    EXPECT_EQ(executor.Run(batch).status().code(),
+              StatusCode::kFailedPrecondition);
+    // Every structure that was built still answers, on both paths.
+    for (Algorithm present : kAll) {
+      if (present == absent) continue;
+      SCOPED_TRACE(AlgorithmName(present));
+      EXPECT_TRUE(db->Query(query, present).ok());
+      batch_options.algorithm = present;
+      EXPECT_TRUE(BatchExecutor(db.get(), batch_options).Run(batch).ok());
+    }
+  }
 }
 
 TEST(DatabaseTest, ColdQueriesRepeatIdenticalIo) {
@@ -78,8 +105,8 @@ TEST(DatabaseTest, ColdQueriesRepeatIdenticalIo) {
   query.keywords = {"w3"};
   query.k = 5;
   QueryStats first, second;
-  (void)db->QueryIr2(query, &first).value();
-  (void)db->QueryIr2(query, &second).value();
+  (void)db->Query(query, Algorithm::kIr2, &first).value();
+  (void)db->Query(query, Algorithm::kIr2, &second).value();
   EXPECT_EQ(first.io.TotalReads(), second.io.TotalReads());
   EXPECT_EQ(first.io.random_reads, second.io.random_reads);
   EXPECT_GT(first.io.random_reads, 0u);
@@ -101,8 +128,8 @@ TEST(DatabaseTest, WarmQueriesCostLessIo) {
   query.keywords = {"w3"};
   query.k = 5;
   QueryStats first, second;
-  (void)db->QueryIr2(query, &first).value();
-  (void)db->QueryIr2(query, &second).value();
+  (void)db->Query(query, Algorithm::kIr2, &first).value();
+  (void)db->Query(query, Algorithm::kIr2, &second).value();
   // Tree nodes are cached now; only object loads remain.
   EXPECT_LT(second.io.TotalReads(), first.io.TotalReads());
 }
@@ -115,7 +142,7 @@ TEST(DatabaseTest, AggregateIoSumsDevices) {
   DistanceFirstQuery query;
   query.point = Point(0, 0);
   query.k = 1;
-  (void)db->QueryIr2(query).value();
+  (void)db->Query(query, Algorithm::kIr2).value();
   EXPECT_GT(db->AggregateIo().TotalReads(), 0u);
 }
 
@@ -144,9 +171,9 @@ TEST(DatabaseTest, EmptyKeywordsActsAsPureNN) {
   query.point = Point(25.0, -80.0);  // Miami-ish: H1 nearest.
   query.keywords = {};
   query.k = 1;
-  for (auto results : {db->QueryRTree(query).value(),
-                       db->QueryIr2(query).value(),
-                       db->QueryMir2(query).value()}) {
+  for (auto results : {db->Query(query, Algorithm::kRTree).value(),
+                       db->Query(query, Algorithm::kIr2).value(),
+                       db->Query(query, Algorithm::kMir2).value()}) {
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].object_id, 1u);
   }

@@ -279,14 +279,14 @@ TEST_F(FileDeviceAsyncTest, DatabaseRoundTripOnRealFilesWithAsyncIo) {
     query.keywords = {"w" + std::to_string(rng.NextUint64(30)),
                       "w" + std::to_string(rng.NextUint64(30))};
     query.k = 8;
-    EXPECT_EQ(ResultIds(reopened->QueryIr2(query).value()),
-              ResultIds(built->QueryIr2(query).value()));
-    EXPECT_EQ(ResultIds(reopened->QueryMir2(query).value()),
-              ResultIds(built->QueryMir2(query).value()));
-    EXPECT_EQ(ResultIds(reopened->QueryIio(query).value()),
-              ResultIds(built->QueryIio(query).value()));
-    EXPECT_EQ(ResultIds(reopened->QueryRTree(query).value()),
-              ResultIds(built->QueryRTree(query).value()));
+    EXPECT_EQ(ResultIds(reopened->Query(query, Algorithm::kIr2).value()),
+              ResultIds(built->Query(query, Algorithm::kIr2).value()));
+    EXPECT_EQ(ResultIds(reopened->Query(query, Algorithm::kMir2).value()),
+              ResultIds(built->Query(query, Algorithm::kMir2).value()));
+    EXPECT_EQ(ResultIds(reopened->Query(query, Algorithm::kIio).value()),
+              ResultIds(built->Query(query, Algorithm::kIio).value()));
+    EXPECT_EQ(ResultIds(reopened->Query(query, Algorithm::kRTree).value()),
+              ResultIds(built->Query(query, Algorithm::kRTree).value()));
   }
 
   // The same directory opened cold (no prefetch, no async) also agrees —
@@ -298,8 +298,8 @@ TEST_F(FileDeviceAsyncTest, DatabaseRoundTripOnRealFilesWithAsyncIo) {
   query.point = Point(500, 500);
   query.keywords = {"w1", "w2"};
   query.k = 8;
-  EXPECT_EQ(ResultIds(cold_db->QueryIr2(query).value()),
-            ResultIds(built->QueryIr2(query).value()));
+  EXPECT_EQ(ResultIds(cold_db->Query(query, Algorithm::kIr2).value()),
+            ResultIds(built->Query(query, Algorithm::kIr2).value()));
 }
 
 // BatchExecutor over a file-backed database opened with async prefetch:

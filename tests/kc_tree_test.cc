@@ -346,9 +346,9 @@ TEST(KcDatabaseTest, TopKMatchesIr2AndIioOnBothDatasetShapes) {
         std::tuple{4321u, 400u, 15u, 4u, 64u}}) {
     DbFixture fx(seed, n, vocab, words, bits);
     for (size_t i = 0; i < fx.queries.size(); ++i) {
-      auto kc = fx.db->QueryKc(fx.queries[i]);
-      auto ir2 = fx.db->QueryIr2(fx.queries[i]);
-      auto iio = fx.db->QueryIio(fx.queries[i]);
+      auto kc = fx.db->Query(fx.queries[i], Algorithm::kKcTree);
+      auto ir2 = fx.db->Query(fx.queries[i], Algorithm::kIr2);
+      auto iio = fx.db->Query(fx.queries[i], Algorithm::kIio);
       ASSERT_TRUE(kc.ok() && ir2.ok() && iio.ok());
       ExpectSameResults(kc.value(), ir2.value(), i);
       ExpectSameResults(kc.value(), iio.value(), i);
@@ -390,11 +390,11 @@ TEST(KcDatabaseTest, MaxDistanceNeverIncreasesWork) {
   DbFixture fx(77, 500, 25, 5, 128);
   for (const DistanceFirstQuery& query : fx.queries) {
     QueryStats full_stats;
-    ASSERT_TRUE(fx.db->QueryKc(query, &full_stats).ok());
+    ASSERT_TRUE(fx.db->Query(query, Algorithm::kKcTree, &full_stats).ok());
     DistanceFirstQuery capped = query;
     capped.max_distance = 100.0;
     QueryStats capped_stats;
-    ASSERT_TRUE(fx.db->QueryKc(capped, &capped_stats).ok());
+    ASSERT_TRUE(fx.db->Query(capped, Algorithm::kKcTree, &capped_stats).ok());
     EXPECT_LE(capped_stats.nodes_visited, full_stats.nodes_visited);
     EXPECT_LE(capped_stats.objects_loaded, full_stats.objects_loaded);
   }
@@ -427,8 +427,8 @@ TEST(KcDatabaseTest, SaveOpenRoundTripPreservesVocabularyAndAnswers) {
   EXPECT_EQ(a.cold_config(), b.cold_config());
 
   for (size_t i = 0; i < fx.queries.size(); ++i) {
-    auto memory = fx.db->QueryKc(fx.queries[i]);
-    auto file = file_db->QueryKc(fx.queries[i]);
+    auto memory = fx.db->Query(fx.queries[i], Algorithm::kKcTree);
+    auto file = file_db->Query(fx.queries[i], Algorithm::kKcTree);
     ASSERT_TRUE(memory.ok() && file.ok());
     ExpectSameResults(memory.value(), file.value(), i);
   }

@@ -209,7 +209,7 @@ TEST_F(NodeCacheQueryTest, WarmResultsIdenticalToCold) {
   // Uncached reference.
   std::vector<std::vector<uint32_t>> expected;
   for (const DistanceFirstQuery& query : queries_) {
-    expected.push_back(ResultIds(db_->QueryIr2(query).value()));
+    expected.push_back(ResultIds(db_->Query(query, Algorithm::kIr2).value()));
   }
 
   NodeCache cache;
@@ -218,7 +218,8 @@ TEST_F(NodeCacheQueryTest, WarmResultsIdenticalToCold) {
   // it. Both must reproduce the uncached results exactly.
   for (int pass = 0; pass < 2; ++pass) {
     for (size_t i = 0; i < queries_.size(); ++i) {
-      EXPECT_EQ(ResultIds(db_->QueryIr2(queries_[i]).value()), expected[i])
+      EXPECT_EQ(ResultIds(db_->Query(queries_[i], Algorithm::kIr2).value()),
+                expected[i])
           << "pass " << pass << " query " << i;
     }
   }
@@ -247,9 +248,9 @@ TEST_F(NodeCacheQueryTest, ColdRegimeDeterministicWithCacheDisabled) {
   for (const DistanceFirstQuery& query : queries_) {
     QueryStats first, second;
     reset_cursors();
-    ASSERT_TRUE(db->QueryIr2(query, &first).ok());
+    ASSERT_TRUE(db->Query(query, Algorithm::kIr2, &first).ok());
     reset_cursors();
-    ASSERT_TRUE(db->QueryIr2(query, &second).ok());
+    ASSERT_TRUE(db->Query(query, Algorithm::kIr2, &second).ok());
     EXPECT_EQ(first.io, second.io);
     EXPECT_EQ(first.nodes_visited, second.nodes_visited);
     EXPECT_EQ(first.objects_loaded, second.objects_loaded);

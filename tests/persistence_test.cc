@@ -54,14 +54,14 @@ TEST_F(PersistenceTest, SaveOpenRoundTripPreservesEverything) {
     query.point = Point(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000));
     query.keywords = {"w" + std::to_string(rng.NextUint64(30))};
     query.k = 10;
-    EXPECT_EQ(ResultIds(reopened->QueryRTree(query).value()),
-              ResultIds(built->QueryRTree(query).value()));
-    EXPECT_EQ(ResultIds(reopened->QueryIio(query).value()),
-              ResultIds(built->QueryIio(query).value()));
-    EXPECT_EQ(ResultIds(reopened->QueryIr2(query).value()),
-              ResultIds(built->QueryIr2(query).value()));
-    EXPECT_EQ(ResultIds(reopened->QueryMir2(query).value()),
-              ResultIds(built->QueryMir2(query).value()));
+    EXPECT_EQ(ResultIds(reopened->Query(query, Algorithm::kRTree).value()),
+              ResultIds(built->Query(query, Algorithm::kRTree).value()));
+    EXPECT_EQ(ResultIds(reopened->Query(query, Algorithm::kIio).value()),
+              ResultIds(built->Query(query, Algorithm::kIio).value()));
+    EXPECT_EQ(ResultIds(reopened->Query(query, Algorithm::kIr2).value()),
+              ResultIds(built->Query(query, Algorithm::kIr2).value()));
+    EXPECT_EQ(ResultIds(reopened->Query(query, Algorithm::kMir2).value()),
+              ResultIds(built->Query(query, Algorithm::kMir2).value()));
 
     GeneralQuery general;
     general.point = query.point;
@@ -89,9 +89,9 @@ TEST_F(PersistenceTest, PartialBuildsRoundTrip) {
   query.point = Point(500, 500);
   query.keywords = {"w1"};
   query.k = 5;
-  EXPECT_FALSE(reopened->QueryRTree(query).ok());
-  EXPECT_TRUE(reopened->QueryIr2(query).ok());
-  EXPECT_TRUE(reopened->QueryIio(query).ok());
+  EXPECT_FALSE(reopened->Query(query, Algorithm::kRTree).ok());
+  EXPECT_TRUE(reopened->Query(query, Algorithm::kIr2).ok());
+  EXPECT_TRUE(reopened->Query(query, Algorithm::kIio).ok());
 }
 
 TEST_F(PersistenceTest, ReopenedDatabaseAcceptsUpdates) {
@@ -109,7 +109,7 @@ TEST_F(PersistenceTest, ReopenedDatabaseAcceptsUpdates) {
   DistanceFirstQuery find;
   find.point = Point(objects[0].coords);
   find.k = 1;
-  std::vector<QueryResult> nearest = db->QueryIr2(find).value();
+  std::vector<QueryResult> nearest = db->Query(find, Algorithm::kIr2).value();
   ASSERT_EQ(nearest.size(), 1u);
   ASSERT_EQ(nearest[0].object_id, 0u);
   ASSERT_TRUE(db->ir2_tree()->DeleteObject(nearest[0].ref, rect).value());
@@ -117,7 +117,7 @@ TEST_F(PersistenceTest, ReopenedDatabaseAcceptsUpdates) {
   EXPECT_EQ(db->ir2_tree()->size(), 149u);
 
   // The deleted object no longer surfaces.
-  std::vector<QueryResult> after = db->QueryIr2(find).value();
+  std::vector<QueryResult> after = db->Query(find, Algorithm::kIr2).value();
   ASSERT_EQ(after.size(), 1u);
   EXPECT_NE(after[0].object_id, 0u);
 }
@@ -140,8 +140,8 @@ TEST_F(PersistenceTest, FileBackedQueriesCostIdenticalDiskAccesses) {
     query.keywords = {"w" + std::to_string(rng.NextUint64(25))};
     query.k = 10;
     QueryStats memory_stats, file_stats;
-    auto a = memory_db->QueryIr2(query, &memory_stats).value();
-    auto b = file_db->QueryIr2(query, &file_stats).value();
+    auto a = memory_db->Query(query, Algorithm::kIr2, &memory_stats).value();
+    auto b = file_db->Query(query, Algorithm::kIr2, &file_stats).value();
     EXPECT_EQ(ResultIds(a), ResultIds(b));
     EXPECT_EQ(memory_stats.io.random_reads, file_stats.io.random_reads);
     EXPECT_EQ(memory_stats.io.sequential_reads,

@@ -328,7 +328,7 @@ TEST_F(PlannerDatabaseTest, AutoMatchesPerQueryOracleOnGoldenWorkload) {
     QueryStats stats;
     QueryPlan plan;
     ResetCursors(*db_);
-    auto results = db_->QueryAuto(query, &stats, &plan);
+    auto results = db_->Query(query, Algorithm::kAuto, &stats, &plan);
     ASSERT_TRUE(results.ok()) << results.status().ToString();
     EXPECT_TRUE(plan.has_choice);
     // "Match" = auto's observed cost is within 10% of the oracle's, with
@@ -348,7 +348,7 @@ TEST_F(PlannerDatabaseTest, AutoReturnsTheChosenAlgorithmsExactResults) {
     QueryStats auto_stats;
     QueryPlan plan;
     ResetCursors(*db_);
-    auto auto_results = db_->QueryAuto(query, &auto_stats, &plan);
+    auto auto_results = db_->Query(query, Algorithm::kAuto, &auto_stats, &plan);
     ASSERT_TRUE(auto_results.ok()) << auto_results.status().ToString();
     QueryStats fixed_stats;
     ResetCursors(*db_);
@@ -389,7 +389,7 @@ TEST_F(PlannerDatabaseTest, FeedbackRecoversFromPoisonedModel) {
   for (; executed < 20 && last == Algorithm::kRTree; ++executed) {
     QueryStats stats;
     QueryPlan plan;
-    auto results = db_->QueryAuto(query, &stats, &plan);
+    auto results = db_->Query(query, Algorithm::kAuto, &stats, &plan);
     ASSERT_TRUE(results.ok()) << results.status().ToString();
     last = plan.chosen;
   }
@@ -416,7 +416,7 @@ TEST_F(PlannerDatabaseTest, ConcurrentAutoBatchIsSafeAndDeterministic) {
     // (which also reset their device cursors before every cold query).
     db_->planner()->feedback().Reset();
     ResetCursors(*db_);
-    auto results = db_->QueryAuto(hammer[i], &serial[i]);
+    auto results = db_->Query(hammer[i], Algorithm::kAuto, &serial[i]);
     ASSERT_TRUE(results.ok()) << results.status().ToString();
     serial_ids[i] = testing_util::ResultIds(*results);
   }

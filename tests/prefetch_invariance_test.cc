@@ -145,22 +145,22 @@ TEST_F(PrefetchInvarianceTest, AllAlgorithmsInvariantWithDefaultPlacement) {
   CheckPrefetchInvariant(
       off.get(), on.get(), queries, "IR2",
       [](SpatialKeywordDatabase* db, const DistanceFirstQuery& q,
-         QueryStats* s) { return db->QueryIr2(q, s); },
+         QueryStats* s) { return db->Query(q, Algorithm::kIr2, s); },
       /*expect_speculation=*/true);
   CheckPrefetchInvariant(
       off.get(), on.get(), queries, "MIR2",
       [](SpatialKeywordDatabase* db, const DistanceFirstQuery& q,
-         QueryStats* s) { return db->QueryMir2(q, s); },
+         QueryStats* s) { return db->Query(q, Algorithm::kMir2, s); },
       /*expect_speculation=*/true);
   CheckPrefetchInvariant(
       off.get(), on.get(), queries, "R-Tree",
       [](SpatialKeywordDatabase* db, const DistanceFirstQuery& q,
-         QueryStats* s) { return db->QueryRTree(q, s); },
+         QueryStats* s) { return db->Query(q, Algorithm::kRTree, s); },
       /*expect_speculation=*/true);
   CheckPrefetchInvariant(
       off.get(), on.get(), queries, "IIO",
       [](SpatialKeywordDatabase* db, const DistanceFirstQuery& q,
-         QueryStats* s) { return db->QueryIio(q, s); },
+         QueryStats* s) { return db->Query(q, Algorithm::kIio, s); },
       /*expect_speculation=*/true);
 }
 
@@ -172,24 +172,24 @@ TEST_F(PrefetchInvarianceTest, AllAlgorithmsInvariantWithLocalityPlacement) {
   CheckPrefetchInvariant(
       off.get(), on.get(), queries, "IR2",
       [](SpatialKeywordDatabase* db, const DistanceFirstQuery& q,
-         QueryStats* s) { return db->QueryIr2(q, s); },
+         QueryStats* s) { return db->Query(q, Algorithm::kIr2, s); },
       /*expect_speculation=*/true);
   CheckPrefetchInvariant(
       off.get(), on.get(), queries, "MIR2",
       [](SpatialKeywordDatabase* db, const DistanceFirstQuery& q,
-         QueryStats* s) { return db->QueryMir2(q, s); },
+         QueryStats* s) { return db->Query(q, Algorithm::kMir2, s); },
       /*expect_speculation=*/true);
   CheckPrefetchInvariant(
       off.get(), on.get(), queries, "R-Tree",
       [](SpatialKeywordDatabase* db, const DistanceFirstQuery& q,
-         QueryStats* s) { return db->QueryRTree(q, s); },
+         QueryStats* s) { return db->Query(q, Algorithm::kRTree, s); },
       /*expect_speculation=*/true);
   // IIO does not live in the trees, so placement does not change it; still
   // covered for the object-prefetch path.
   CheckPrefetchInvariant(
       off.get(), on.get(), queries, "IIO",
       [](SpatialKeywordDatabase* db, const DistanceFirstQuery& q,
-         QueryStats* s) { return db->QueryIio(q, s); },
+         QueryStats* s) { return db->Query(q, Algorithm::kIio, s); },
       /*expect_speculation=*/true);
 }
 
@@ -200,20 +200,19 @@ TEST_F(PrefetchInvarianceTest, LocalityPlacementMovesOnlyTheRandomSeqSplit) {
 
   struct Algo {
     const char* name;
-    StatusOr<std::vector<QueryResult>> (SpatialKeywordDatabase::*fn)(
-        const DistanceFirstQuery&, QueryStats*);
+    Algorithm algorithm;
   };
   const Algo algos[] = {
-      {"IR2", &SpatialKeywordDatabase::QueryIr2},
-      {"MIR2", &SpatialKeywordDatabase::QueryMir2},
-      {"R-Tree", &SpatialKeywordDatabase::QueryRTree},
+      {"IR2", Algorithm::kIr2},
+      {"MIR2", Algorithm::kMir2},
+      {"R-Tree", Algorithm::kRTree},
   };
   for (const Algo& algo : algos) {
     Run a = RunAll(queries, [&](const DistanceFirstQuery& q, QueryStats* s) {
-      return (scattered.get()->*algo.fn)(q, s);
+      return scattered->Query(q, algo.algorithm, s);
     });
     Run b = RunAll(queries, [&](const DistanceFirstQuery& q, QueryStats* s) {
-      return (compacted.get()->*algo.fn)(q, s);
+      return compacted->Query(q, algo.algorithm, s);
     });
     ExpectSameRanking(a, b, algo.name);
     for (size_t i = 0; i < a.stats.size(); ++i) {

@@ -17,6 +17,7 @@
 namespace ir2 {
 namespace {
 
+using serving::CacheReuseCheck;
 using serving::RenderCachezJson;
 using serving::ResultCache;
 using serving::ResultCacheOptions;
@@ -338,17 +339,17 @@ TEST(ResultCacheTest, CachezJsonGolden) {
   EXPECT_EQ(RenderCachezJson(stats, {row}, /*mutation_epoch=*/9), expected);
 }
 
-// ------------------------------------------------- single-database hook
+// ------------------------------------------------- single-database tier
 
-TEST(DatabaseResultCacheTest, QueryAutoConsultsTheHook) {
+TEST(WrapSingleResultCacheTest, AutoQueriesConsultTheCache) {
   std::vector<StoredObject> objects = RandomObjects(5, 200, 30, 5);
   DatabaseOptions options;
   options.ir2_signature = SignatureConfig{256, 3};
   options.cold_queries = false;
-  auto db = SpatialKeywordDatabase::Build(objects, options).value();
-
-  serving::ResultCache cache;
-  db->SetResultCache(&cache);
+  auto tier = ShardedDatabase::WrapSingle(
+                  SpatialKeywordDatabase::Build(objects, options).value())
+                  .value();
+  tier->EnableResultCache();
 
   DistanceFirstQuery q;
   q.point = Point(500, 500);
@@ -356,13 +357,13 @@ TEST(DatabaseResultCacheTest, QueryAutoConsultsTheHook) {
   q.k = 5;
 
   QueryStats miss_stats;
-  auto first = db->QueryAuto(q, &miss_stats);
+  auto first = tier->Query(q, Algorithm::kAuto, &miss_stats);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(miss_stats.result_cache_misses, 1u);
   EXPECT_EQ(miss_stats.result_cache_hits, 0u);
 
   QueryStats hit_stats;
-  auto second = db->QueryAuto(q, &hit_stats);
+  auto second = tier->Query(q, Algorithm::kAuto, &hit_stats);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(hit_stats.result_cache_hits, 1u);
   // The hit does not touch the planner or the trees.
@@ -375,13 +376,11 @@ TEST(DatabaseResultCacheTest, QueryAutoConsultsTheHook) {
   }
 
   // EXPLAIN surfaces the reuse decision with the inequality's numbers.
-  auto explain = db->Explain(q, Algorithm::kAuto);
+  auto explain = tier->Explain(q, Algorithm::kAuto);
   ASSERT_TRUE(explain.ok());
   const std::string report = explain.value().report.ToString();
   EXPECT_NE(report.find("Result cache"), std::string::npos);
   EXPECT_NE(report.find("verdict"), std::string::npos);
-
-  db->SetResultCache(nullptr);  // Detach before the cache dies.
 }
 
 // ---------------------------------------------- sharded integration/fuzz
@@ -472,7 +471,8 @@ TEST_F(ShardedResultCacheTest, MutationBumpsEpochAndInvalidates) {
   // R-tree and re-insert the identical entry. Both operations store nodes,
   // so the tier's mutation epoch moves; the answer does not.
   const uint64_t before = sharded_->MutationEpoch();
-  auto probe = sharded_->shard(0)->QueryRTree(MakeQuery(0, 0, 1, {}));
+  auto probe =
+      sharded_->shard(0)->Query(MakeQuery(0, 0, 1, {}), Algorithm::kRTree);
   ASSERT_TRUE(probe.ok());
   ASSERT_FALSE(probe.value().empty());
   const QueryResult victim = probe.value().front();
@@ -497,6 +497,8 @@ TEST_F(ShardedResultCacheTest, MutationBumpsEpochAndInvalidates) {
   QueryStats hit_again;
   ASSERT_TRUE(sharded_->Query(q, Algorithm::kAuto, &hit_again).ok());
   EXPECT_EQ(hit_again.result_cache_hits, 1u);
+  // A hit reports the probe's wall time, not zero.
+  EXPECT_GT(hit_again.seconds, 0.0);
 }
 
 TEST_F(ShardedResultCacheTest, FixedAlgorithmQueriesBypassTheCache) {

@@ -69,10 +69,10 @@ TEST(StopwordsTest, DatabaseAlgorithmsAgreeUnderStopwords) {
   query.keywords = {"no", "pets"};
   query.k = 3;
   const std::vector<uint32_t> expected = {5, 8, 6};
-  EXPECT_EQ(ResultIds(db->QueryRTree(query).value()), expected);
-  EXPECT_EQ(ResultIds(db->QueryIio(query).value()), expected);
-  EXPECT_EQ(ResultIds(db->QueryIr2(query).value()), expected);
-  EXPECT_EQ(ResultIds(db->QueryMir2(query).value()), expected);
+  EXPECT_EQ(ResultIds(db->Query(query, Algorithm::kRTree).value()), expected);
+  EXPECT_EQ(ResultIds(db->Query(query, Algorithm::kIio).value()), expected);
+  EXPECT_EQ(ResultIds(db->Query(query, Algorithm::kIr2).value()), expected);
+  EXPECT_EQ(ResultIds(db->Query(query, Algorithm::kMir2).value()), expected);
 }
 
 TEST(StopwordsTest, StopwordsShrinkTheIndex) {
