@@ -248,15 +248,17 @@ else
   # metrics/tracer hammers, the planner's lock-free feedback under
   # database-mode batches, the serving tier's admission queue +
   # concurrent scatter-gather workers, and the striped result cache's
-  # lookup/fill/evict races) — the rest of the suite is single-threaded
-  # and covered by the Release run.
+  # lookup/fill/evict races, and the prefetching cold-regime suites, whose
+  # run reads hold several pool shard locks at once) — the rest of the
+  # suite is single-threaded and covered by the Release run.
   cmake --build build-tsan -j "$jobs" --target \
     concurrency_test batch_executor_test node_cache_test storage_test \
     io_scheduler_test file_device_async_test obs_test planner_test \
     server_loop_test sharded_database_test kc_tree_test telemetry_test \
-    admin_server_test result_cache_test
+    admin_server_test result_cache_test prefetch_invariance_test \
+    cold_regime_regression_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'concurrency_test|batch_executor_test|node_cache_test|storage_test|io_scheduler_test|file_device_async_test|obs_test|planner_test|server_loop_test|sharded_database_test|kc_tree_test|telemetry_test|admin_server_test|result_cache_test'
+    -R 'concurrency_test|batch_executor_test|node_cache_test|storage_test|io_scheduler_test|file_device_async_test|obs_test|planner_test|server_loop_test|sharded_database_test|kc_tree_test|telemetry_test|admin_server_test|result_cache_test|prefetch_invariance_test|cold_regime_regression_test'
 fi
 
 echo
@@ -283,14 +285,19 @@ if [ "${IR2_CHECK_ASAN:-0}" = "1" ]; then
   echo "== AddressSanitizer build =="
   cmake -B build-asan -S . -DIR2_SANITIZE="address;undefined" \
     -DCMAKE_BUILD_TYPE=Debug
+  # storage_test and io_scheduler_test drive the run-read path (preadv
+  # iovecs, bounce buffers, frames claimed and evicted inside one run).
+  # mir2_tree_test is built because the ir2_tree_test pattern below
+  # selects it too.
   cmake --build build-asan -j "$jobs" --target \
-    node_cache_test cold_regime_regression_test ir2_tree_test rtree_test \
-    algorithms_test simd_test file_device_async_test
+    node_cache_test cold_regime_regression_test ir2_tree_test \
+    mir2_tree_test rtree_test algorithms_test simd_test \
+    file_device_async_test storage_test io_scheduler_test
   # Both SIMD ways here too: the dispatched kernels read signature and
   # posting buffers in wide chunks, exactly where an out-of-bounds read
   # would hide from the scalar tier.
   ctest --test-dir build-asan --output-on-failure \
-    -R 'node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test'
+    -R 'node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test|storage_test|io_scheduler_test'
   IR2_DISABLE_SIMD=1 ctest --test-dir build-asan --output-on-failure \
     -R 'cold_regime_regression_test|simd_test'
 fi

@@ -317,7 +317,8 @@ std::string MetricsRegistry::RenderJson() const {
       const double upper = i + 1 < Histogram::kNumBuckets
                                ? Histogram::BucketLowerBound(i + 1)
                                : Histogram::BucketLowerBound(i) * 2.0;
-      out += "[" + FormatDouble(upper) + "," + std::to_string(in_bucket) + "]";
+      out.append("[").append(FormatDouble(upper)).append(",");
+      out.append(std::to_string(in_bucket)).append("]");
     }
     out += "]}";
   }
@@ -421,7 +422,7 @@ const CoreMetrics& DefaultMetrics() {
     m->sched_blocks_fetched = r.GetCounter(
         "ir2_sched_blocks_fetched_total", "Blocks read by prefetch workers");
     m->sched_read_errors = r.GetCounter("ir2_sched_read_errors_total",
-                                        "Failed prefetch worker reads");
+                                        "Failed prefetch worker runs");
     m->nn_heap_pops = r.GetCounter("ir2_nn_heap_pops_total",
                                    "Incremental-NN priority queue pops");
     m->nn_nodes_expanded = r.GetCounter("ir2_nn_nodes_expanded_total",

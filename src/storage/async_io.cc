@@ -85,7 +85,6 @@ void AsyncIoBackend::WorkerLoop() {
   // pool metrics) and keep its physical I/O on this thread's counters.
   obs::SpeculativeThreadFlag() = true;
   BlockDevice* device = pool_->device();
-  std::vector<uint8_t> block(pool_->block_size());
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     work_cv_.wait(lock, [this] { return stop_ || !submission_queue_.empty(); });
@@ -102,15 +101,10 @@ void AsyncIoBackend::WorkerLoop() {
     const IoStats before = device->thread_stats();
     {
       obs::TraceSpan span(obs::SpanKind::kPrefetchComplete, request.first);
-      for (uint32_t i = 0; i < request.count; ++i) {
-        Status s = pool_->Read(request.first + i, block);
-        if (!s.ok()) {
-          obs::DefaultMetrics().sched_read_errors->Add();
-          if (completion.status.ok()) {
-            completion.status = s;
-          }
-        }
-      }
+      completion.status = pool_->ReadBlocks(request.first, request.count);
+    }
+    if (!completion.status.ok()) {
+      obs::DefaultMetrics().sched_read_errors->Add();
     }
     completion.io = device->thread_stats() - before;
 

@@ -49,13 +49,14 @@ struct IoCompletion {
 
 // Submission/completion asynchronous read engine over a BufferPool —
 // io_uring-shaped (bounded SQ/CQ rings, opaque user_data, reap-style
-// harvesting) but thread-pool backed: the workers issue ordinary
-// pool->Read calls, so every byte lands in the shared pool under its
-// per-shard lock (exactly-once physical reads even against racing demand
-// traffic) and every read is classified by the device's per-thread
-// sequential cursors exactly like any other I/O. DESIGN.md decision 9
-// records why this interface is the io_uring *shape* without the syscall
-// dependency.
+// harvesting) but thread-pool backed: each worker reads a request's run
+// with one pool ReadBlocks call (one device request per run of missing
+// blocks), so every byte lands in the shared pool, which claims each block
+// under its shard lock (exactly-once physical reads even against racing
+// demand traffic), and every block is classified by the device's
+// per-thread sequential cursors exactly as one Read per block would be.
+// DESIGN.md decision 9 records why this interface is the io_uring *shape*
+// without the syscall dependency.
 //
 // Worker threads run with obs::SpeculativeThreadFlag() set: traffic issued
 // here is speculative by construction (IoScheduler is the producer), and

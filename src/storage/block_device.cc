@@ -3,7 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -38,6 +41,23 @@ std::string IoStats::ToString() const {
      << ") writes(random=" << random_writes << ", seq=" << sequential_writes
      << ")";
   return os.str();
+}
+
+size_t RemainingIovecs(std::span<const std::span<uint8_t>> outs, uint64_t done,
+                       std::span<iovec> iov) {
+  if (outs.empty()) {
+    return 0;
+  }
+  const size_t block_size = outs[0].size();
+  size_t block = static_cast<size_t>(done / block_size);
+  size_t skip = static_cast<size_t>(done % block_size);
+  size_t n = 0;
+  for (; block < outs.size(); ++block, ++n) {
+    iov[n].iov_base = outs[block].data() + skip;
+    iov[n].iov_len = block_size - skip;
+    skip = 0;
+  }
+  return n;
 }
 
 Status CopyBlocks(BlockDevice* src, BlockDevice* dst) {
@@ -134,22 +154,62 @@ void BlockDevice::ResetStats() {
   }
 }
 
+Status BlockDevice::CountReads(BlockId first, uint64_t count) {
+  const uint64_t num_blocks = NumBlocks();
+  if (first >= num_blocks || count > num_blocks - first) {
+    return Status::OutOfRange("Read past end of device");
+  }
+  if (count == 0) {
+    return Status::Ok();
+  }
+  // Every block after the first follows its predecessor, so only the first
+  // can be a seek.
+  ThreadIo& io = LocalIo();
+  const BlockId last = io.last_read.load(std::memory_order_relaxed);
+  const uint64_t random =
+      (last != kInvalidBlockId && first == last + 1) ? 0 : 1;
+  if (random != 0) io.random_reads.fetch_add(1, std::memory_order_relaxed);
+  if (count > random) {
+    io.sequential_reads.fetch_add(count - random, std::memory_order_relaxed);
+  }
+  io.last_read.store(first + count - 1, std::memory_order_relaxed);
+  return Status::Ok();
+}
+
 Status BlockDevice::Read(BlockId id, std::span<uint8_t> out) {
   if (out.size() != block_size_) {
     return Status::InvalidArgument("Read buffer size != block size");
   }
-  if (id >= NumBlocks()) {
-    return Status::OutOfRange("Read past end of device");
-  }
-  ThreadIo& io = LocalIo();
-  const BlockId last = io.last_read.load(std::memory_order_relaxed);
-  if (last != kInvalidBlockId && id == last + 1) {
-    io.sequential_reads.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    io.random_reads.fetch_add(1, std::memory_order_relaxed);
-  }
-  io.last_read.store(id, std::memory_order_relaxed);
+  IR2_RETURN_IF_ERROR(CountReads(id, 1));
   return ReadImpl(id, out);
+}
+
+Status BlockDevice::ReadBlocks(BlockId first, uint32_t count,
+                               std::span<const std::span<uint8_t>> outs) {
+  if (!outs.empty() && outs.size() != count) {
+    return Status::InvalidArgument("ReadBlocks: need no buffer or count");
+  }
+  for (std::span<uint8_t> out : outs) {
+    if (out.size() != block_size_) {
+      return Status::InvalidArgument("Read buffer size != block size");
+    }
+  }
+  if (count == 0) {
+    return Status::Ok();
+  }
+  IR2_RETURN_IF_ERROR(CountReads(first, count));
+  return ReadBlocksImpl(first, count, outs);
+}
+
+Status BlockDevice::ReadBlocksImpl(BlockId first, uint32_t count,
+                                   std::span<const std::span<uint8_t>> outs) {
+  std::vector<uint8_t> discard(outs.empty() ? block_size_ : 0);
+  for (uint32_t i = 0; i < count; ++i) {
+    IR2_RETURN_IF_ERROR(
+        ReadImpl(first + i, outs.empty() ? std::span<uint8_t>(discard)
+                                         : outs[i]));
+  }
+  return Status::Ok();
 }
 
 Status BlockDevice::Write(BlockId id, std::span<const uint8_t> data) {
@@ -193,6 +253,16 @@ StatusOr<BlockId> MemoryBlockDevice::Allocate(uint32_t count) {
 Status MemoryBlockDevice::ReadImpl(BlockId id, std::span<uint8_t> out) {
   std::shared_lock<std::shared_mutex> lock(blocks_mu_);
   std::memcpy(out.data(), blocks_[id].data(), block_size());
+  return Status::Ok();
+}
+
+Status MemoryBlockDevice::ReadBlocksImpl(
+    BlockId first, uint32_t /*count*/,
+    std::span<const std::span<uint8_t>> outs) {
+  std::shared_lock<std::shared_mutex> lock(blocks_mu_);
+  for (size_t i = 0; i < outs.size(); ++i) {
+    std::memcpy(outs[i].data(), blocks_[first + i].data(), block_size());
+  }
   return Status::Ok();
 }
 
@@ -241,6 +311,9 @@ bool IsDirectAligned(const void* p, size_t size) {
   return reinterpret_cast<uintptr_t>(p) % kDirectIoAlignment == 0 &&
          size % kDirectIoAlignment == 0;
 }
+
+// Longest run one preadv may carry (IOV_MAX is 1024 on Linux).
+constexpr size_t kMaxIovecs = IOV_MAX;
 
 // Opens with O_DIRECT when requested, falling back to buffered I/O when the
 // filesystem refuses (tmpfs returns EINVAL). `direct_out` reports which
@@ -396,6 +469,60 @@ Status FileBlockDevice::ReadImpl(BlockId id, std::span<uint8_t> out) {
     return Status::Ok();
   }
   return PreadFull(out.data(), out.size(), offset);
+}
+
+Status FileBlockDevice::PreadvFull(std::span<const std::span<uint8_t>> outs,
+                                   uint64_t offset) {
+  std::array<iovec, kMaxIovecs> iov;
+  const uint64_t size = outs.size() * block_size();
+  uint64_t done = 0;
+  while (done < size) {
+    const size_t entries = RemainingIovecs(outs, done, iov);
+    ssize_t n = ::preadv(fd_, iov.data(), static_cast<int>(entries),
+                         static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(std::string("preadv: ") + std::strerror(errno));
+    }
+    if (n == 0) {
+      return Status::IoError("preadv: unexpected EOF inside allocated extent");
+    }
+    done += static_cast<uint64_t>(n);
+  }
+  return Status::Ok();
+}
+
+Status FileBlockDevice::ReadBlocksImpl(
+    BlockId first, uint32_t count, std::span<const std::span<uint8_t>> outs) {
+  const size_t block_size = this->block_size();
+  for (size_t at = 0; at < count; at += kMaxIovecs) {
+    const size_t blocks = std::min<size_t>(kMaxIovecs, count - at);
+    const std::span<const std::span<uint8_t>> chunk =
+        outs.empty() ? outs : outs.subspan(at, blocks);
+    const uint64_t offset = (first + at) * block_size;
+    const bool stage =
+        chunk.empty() ||
+        (direct_io_ &&
+         std::any_of(chunk.begin(), chunk.end(), [](std::span<uint8_t> out) {
+           return !IsDirectAligned(out.data(), out.size());
+         }));
+    if (!stage) {
+      IR2_RETURN_IF_ERROR(PreadvFull(chunk, offset));
+      continue;
+    }
+    // No destination, or O_DIRECT with an unaligned one: read the chunk in
+    // one transfer into the aligned per-thread scratch, then scatter it.
+    const size_t bytes = blocks * block_size;
+    uint8_t* staging = t_direct_scratch.Get(bytes);
+    if (staging == nullptr) {
+      return Status::IoError("posix_memalign failed for direct I/O bounce");
+    }
+    IR2_RETURN_IF_ERROR(PreadFull(staging, bytes, offset));
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      std::memcpy(chunk[i].data(), staging + i * block_size, block_size);
+    }
+  }
+  return Status::Ok();
 }
 
 Status FileBlockDevice::WriteImpl(BlockId id, std::span<const uint8_t> data) {

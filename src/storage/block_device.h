@@ -1,6 +1,8 @@
 #ifndef IR2TREE_STORAGE_BLOCK_DEVICE_H_
 #define IR2TREE_STORAGE_BLOCK_DEVICE_H_
 
+#include <sys/uio.h>
+
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -105,6 +107,18 @@ class BlockDevice {
   // Reads one full block into `out` (must be exactly block_size() bytes).
   Status Read(BlockId id, std::span<uint8_t> out);
 
+  // Reads the ascending run [first, first + count), block i into outs[i]
+  // (each exactly block_size() bytes), as one device request where the
+  // device supports it (FileBlockDevice: preadv). Accounting and the
+  // calling thread's cursor move exactly as `count` ascending Read calls
+  // would: one random read (none when `first` follows the cursor) and the
+  // rest sequential. A run reaching past NumBlocks() is refused as a whole
+  // with OutOfRange, before any accounting. With `outs` empty the run is
+  // read but delivered nowhere: a BufferPool keeps it cached (how the
+  // IoScheduler prefetches), a raw device drops it.
+  Status ReadBlocks(BlockId first, uint32_t count,
+                    std::span<const std::span<uint8_t>> outs = {});
+
   // Writes one full block from `data` (must be exactly block_size() bytes).
   Status Write(BlockId id, std::span<const uint8_t> data);
 
@@ -147,8 +161,18 @@ class BlockDevice {
  protected:
   virtual Status ReadImpl(BlockId id, std::span<uint8_t> out) = 0;
   virtual Status WriteImpl(BlockId id, std::span<const uint8_t> data) = 0;
+  // Data path of ReadBlocks, after validation and accounting; `outs` is
+  // empty or holds `count` buffers. The default reads block by block
+  // through ReadImpl.
+  virtual Status ReadBlocksImpl(BlockId first, uint32_t count,
+                                std::span<const std::span<uint8_t>> outs);
 
  private:
+  // Range check plus the accounting of `count` ascending reads from
+  // `first` on the calling thread — the shared front half of Read and
+  // ReadBlocks.
+  Status CountReads(BlockId first, uint64_t count);
+
   // Per-thread accounting context. Counters are written only by the owning
   // thread and read (relaxed) by aggregating threads; the cursors are also
   // stored atomically so ResetStats() can clear them from another thread.
@@ -192,6 +216,8 @@ class MemoryBlockDevice final : public BlockDevice {
  protected:
   Status ReadImpl(BlockId id, std::span<uint8_t> out) override;
   Status WriteImpl(BlockId id, std::span<const uint8_t> data) override;
+  Status ReadBlocksImpl(BlockId first, uint32_t count,
+                        std::span<const std::span<uint8_t>> outs) override;
 
  private:
   // One flat buffer per block keeps Allocate O(count) and avoids large
@@ -199,6 +225,14 @@ class MemoryBlockDevice final : public BlockDevice {
   mutable std::shared_mutex blocks_mu_;
   std::vector<std::vector<uint8_t>> blocks_;
 };
+
+// Fills `iov` with the part of the block run `outs` that a vectored read
+// has not yet transferred after moving `done` bytes: the block the transfer
+// stopped in, advanced past its first done % block_size bytes, then every
+// later block whole. Returns the number of entries written (0 once done
+// covers the run); `iov` must have room for outs.size() entries.
+size_t RemainingIovecs(std::span<const std::span<uint8_t>> outs, uint64_t done,
+                       std::span<iovec> iov);
 
 // Copies every block of `src` into `dst` (which must be empty and share the
 // block size). Used to persist memory-built indexes to files and back.
@@ -214,10 +248,11 @@ struct FileBlockDeviceOptions {
   bool direct_io = false;
 };
 
-// File-backed device using positional pread/pwrite (inherently safe for
-// concurrent accesses to distinct blocks), the production persistence path:
-// O_DIRECT with graceful fallback, short-transfer/EINTR hardening, and a
-// Sync() durability barrier (fdatasync). Allocate ftruncates the file to
+// File-backed device using positional pread/preadv/pwrite (inherently safe
+// for concurrent accesses to distinct blocks), the production persistence
+// path: O_DIRECT with graceful fallback, short-transfer/EINTR hardening, and
+// a Sync() durability barrier (fdatasync). A ReadBlocks run is one preadv
+// per IOV_MAX blocks. Allocate ftruncates the file to
 // the allocated extent, so Open always agrees with the last Allocate about
 // NumBlocks().
 class FileBlockDevice final : public BlockDevice {
@@ -246,12 +281,18 @@ class FileBlockDevice final : public BlockDevice {
  protected:
   Status ReadImpl(BlockId id, std::span<uint8_t> out) override;
   Status WriteImpl(BlockId id, std::span<const uint8_t> data) override;
+  Status ReadBlocksImpl(BlockId first, uint32_t count,
+                        std::span<const std::span<uint8_t>> outs) override;
 
  private:
   FileBlockDevice(int fd, size_t block_size, uint64_t num_blocks,
                   bool direct_io);
 
   Status PreadFull(uint8_t* buf, size_t size, uint64_t offset);
+  // One vectored read of at most IOV_MAX blocks, resumed after EINTR and
+  // short transfers.
+  Status PreadvFull(std::span<const std::span<uint8_t>> outs,
+                    uint64_t offset);
   Status PwriteFull(const uint8_t* buf, size_t size, uint64_t offset);
 
   int fd_;

@@ -94,40 +94,152 @@ bool BufferPool::Contains(BlockId id) const {
   return shard.index.find(id) != shard.index.end();
 }
 
+void BufferPool::ServeHit(Shard& shard, LruList::iterator it,
+                          std::span<uint8_t> out) {
+  ++shard.hits;
+  obs::DefaultMetrics().pool_hits->Add();
+  Page& page = Touch(shard, it);
+  if (!out.empty()) {
+    std::memcpy(out.data(), page.data.data(), block_size());
+  }
+}
+
 Status BufferPool::ReadImpl(BlockId id, std::span<uint8_t> out) {
+  if (capacity_ != 0) {
+    // The commonest read, a resident block, skips the run machinery
+    // (measurably cheaper per hit); any other block is a run of one.
+    Shard& shard = ShardOf(id);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.index.find(id);
+    if (it != shard.index.end() && it->second->filling == 0) {
+      ServeHit(shard, it->second, out);
+      return Status::Ok();
+    }
+  }
+  return ReadBlocksImpl(id, 1, std::span<const std::span<uint8_t>>(&out, 1));
+}
+
+Status BufferPool::ReadBlocksImpl(BlockId first, uint32_t count,
+                                  std::span<const std::span<uint8_t>> outs) {
   if (capacity_ == 0) {
     // Bypass mode still waits on the device; trace it like a miss but
     // leave the hit/miss metrics alone (Stats() does not count bypass).
-    obs::TraceSpan span(obs::SpanKind::kDemandIoWait, id,
+    obs::TraceSpan span(obs::SpanKind::kDemandIoWait, first,
                         !obs::SpeculativeThreadFlag());
-    return device_->Read(id, out);
+    return device_->ReadBlocks(first, count, outs);
   }
-  Shard& shard = ShardOf(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(id);
-  if (it != shard.index.end()) {
-    ++shard.hits;
-    obs::DefaultMetrics().pool_hits->Add();
-    Page& page = Touch(shard, it->second);
-    std::memcpy(out.data(), page.data.data(), block_size());
+  // Walk the run in block order, as `count` single-block reads would: a
+  // resident block is a hit; a missing one is a miss that evicts and claims
+  // a page at once, so a later block of the run that this eviction pushes
+  // out is a miss in turn. A claimed page carries this call's ticket and no
+  // data; its frame stays in `frames` until FillClaims reads it, with no
+  // shard lock held, into the (4096-aligned) frame — a direct-I/O device
+  // then DMAs straight into the cached frame. The ticket, like both
+  // vectors, is taken on the first miss, so a hit touches no shared state
+  // beyond its shard.
+  uint64_t ticket = 0;
+  std::vector<AlignedFrame> frames;
+  std::vector<std::span<uint8_t>> spans;  // frames[i].span(), for the device.
+  for (uint32_t i = 0; i < count; ++i) {
+    const BlockId id = first + i;
+    Shard& shard = ShardOf(id);
+    std::unique_lock<std::mutex> lock(shard.mu);
+    auto it = shard.index.find(id);
+    if (it != shard.index.end() && it->second->filling != 0) {
+      // Another call is reading this block. Fill this call's own claims
+      // first — a call never waits while it holds unfilled claims, so two
+      // calls cannot wait on each other — then wait for the page to land,
+      // or to vanish (its read failed, or it was evicted first).
+      lock.unlock();
+      if (!frames.empty()) {
+        IR2_RETURN_IF_ERROR(FillClaims(first, i, ticket, frames, spans, outs));
+      }
+      lock.lock();
+      shard.filled.wait(lock, [&] {
+        it = shard.index.find(id);
+        return it == shard.index.end() || it->second->filling == 0;
+      });
+    }
+    if (it != shard.index.end()) {
+      ServeHit(shard, it->second,
+               outs.empty() ? std::span<uint8_t>() : outs[i]);
+      continue;
+    }
+    ++shard.misses;
+    obs::DefaultMetrics().pool_misses->Add();
+    Status evicted = EvictIfFull(shard);
+    if (!evicted.ok()) {
+      lock.unlock();
+      if (!frames.empty()) {
+        Status filled = FillClaims(first, i, ticket, frames, spans, outs);
+        (void)filled;
+      }
+      return evicted;
+    }
+    if (frames.empty()) {
+      ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
+      frames.resize(count);
+      spans.resize(count);
+    }
+    shard.lru.push_front(Page{id, /*dirty=*/false, ticket, AlignedFrame()});
+    shard.index[id] = shard.lru.begin();
+    ++shard.reading[id];
+    frames[i] = AlignedFrame(block_size());
+    spans[i] = frames[i].span();
+  }
+  if (frames.empty()) {
     return Status::Ok();
   }
-  ++shard.misses;
-  obs::DefaultMetrics().pool_misses->Add();
-  // Read into the (4096-aligned) frame first, then copy out to the caller:
-  // a direct-I/O device then DMAs straight into the cached frame and the
-  // per-thread staging bounce never runs.
-  AlignedFrame frame(out.size());
-  {
-    obs::TraceSpan span(obs::SpanKind::kDemandIoWait, id,
-                        !obs::SpeculativeThreadFlag());
-    IR2_RETURN_IF_ERROR(device_->Read(id, frame.span()));
+  return FillClaims(first, count, ticket, frames, spans, outs);
+}
+
+Status BufferPool::FillClaims(BlockId first, uint32_t end, uint64_t ticket,
+                              std::span<AlignedFrame> frames,
+                              std::span<const std::span<uint8_t>> spans,
+                              std::span<const std::span<uint8_t>> outs) {
+  Status status = Status::Ok();
+  for (uint32_t i = 0; i < end;) {
+    if (frames[i].data() == nullptr) {  // A hit, or already filled.
+      ++i;
+      continue;
+    }
+    uint32_t j = i + 1;
+    while (j < end && frames[j].data() != nullptr) ++j;
+    if (status.ok()) {
+      obs::TraceSpan span(obs::SpanKind::kDemandIoWait, first + i,
+                          !obs::SpeculativeThreadFlag());
+      status = device_->ReadBlocks(first + i, j - i, spans.subspan(i, j - i));
+    }
+    for (uint32_t k = i; k < j; ++k) {
+      if (status.ok() && !outs.empty()) {
+        std::memcpy(outs[k].data(), frames[k].data(), block_size());
+      }
+      Publish(first + k, ticket,
+              status.ok() ? std::move(frames[k]) : AlignedFrame());
+      frames[k] = AlignedFrame();
+    }
+    i = j;
   }
-  std::memcpy(out.data(), frame.data(), block_size());
-  IR2_RETURN_IF_ERROR(EvictIfFull(shard));
-  shard.lru.push_front(Page{id, /*dirty=*/false, std::move(frame)});
-  shard.index[id] = shard.lru.begin();
-  return Status::Ok();
+  return status;
+}
+
+void BufferPool::Publish(BlockId id, uint64_t ticket, AlignedFrame frame) {
+  Shard& shard = ShardOf(id);
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (--shard.reading[id] == 0) shard.reading.erase(id);
+    auto it = shard.index.find(id);
+    if (it != shard.index.end() && it->second->filling == ticket) {
+      if (frame.data() != nullptr) {
+        it->second->data = std::move(frame);
+        it->second->filling = 0;
+      } else {
+        shard.lru.erase(it->second);
+        shard.index.erase(it);
+      }
+    }
+  }
+  shard.filled.notify_all();
 }
 
 Status BufferPool::WriteImpl(BlockId id, std::span<const uint8_t> data) {
@@ -135,7 +247,12 @@ Status BufferPool::WriteImpl(BlockId id, std::span<const uint8_t> data) {
     return device_->Write(id, data);
   }
   Shard& shard = ShardOf(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::unique_lock<std::mutex> lock(shard.mu);
+  // Wait out any device read of this block still in flight (its page is
+  // filling, or was evicted while filling): the device then never sees a
+  // read and a write of one block at once, and a page is never dirty while
+  // a read of its block is in flight.
+  shard.filled.wait(lock, [&] { return shard.reading.count(id) == 0; });
   auto it = shard.index.find(id);
   if (it != shard.index.end()) {
     Page& page = Touch(shard, it->second);
@@ -144,7 +261,8 @@ Status BufferPool::WriteImpl(BlockId id, std::span<const uint8_t> data) {
     return Status::Ok();
   }
   IR2_RETURN_IF_ERROR(EvictIfFull(shard));
-  shard.lru.push_front(Page{id, /*dirty=*/true, AlignedFrame(data)});
+  shard.lru.push_front(Page{id, /*dirty=*/true, /*filling=*/0,
+                            AlignedFrame(data)});
   shard.index[id] = shard.lru.begin();
   return Status::Ok();
 }

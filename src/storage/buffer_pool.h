@@ -1,6 +1,8 @@
 #ifndef IR2TREE_STORAGE_BUFFER_POOL_H_
 #define IR2TREE_STORAGE_BUFFER_POOL_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -117,11 +119,20 @@ struct BufferPoolStats {
 // into N shards by a hash of their BlockId; each shard has its own mutex,
 // LRU list and capacity (capacity_blocks / N), so threads touching different
 // shards never contend. Because every access to a given block always lands
-// in the same shard, same-block operations are serialized by that shard's
-// lock — which also serializes the underlying device accesses for that
-// block (an IoScheduler prefetch and a demand read racing for one block
-// perform exactly one device read between them). LRU order and eviction are
-// per shard.
+// in the same shard, its lock decides which of two racing reads of a missing
+// block claims it; the claimer reads the device with no lock held, and the
+// other waits for the claimed page to be filled and then hits (an
+// IoScheduler prefetch and a demand read racing for one block perform
+// exactly one device read between them). A write of a block waits until
+// no device read of it is in flight. LRU order and eviction are per shard.
+//
+// Reads go through the inherited Read / ReadBlocks. A ReadBlocks run moves
+// every counter — this pool's logical accounting, hits, misses, evictions,
+// LRU order and the device's physical accounting — exactly as one Read per
+// block would, but each maximal sub-run of missing blocks reaches the
+// device as one ReadBlocks request. With no buffers the run only lands in
+// the pool (a prefetch). A bypass pool (capacity 0) passes the whole run to
+// the device as one request.
 //
 // Pages are copied in and out rather than pinned; for a simulator the copy
 // cost is irrelevant and it rules out dangling page pointers by construction.
@@ -187,23 +198,34 @@ class BufferPool : public BlockDevice {
   uint64_t misses() const { return Stats().misses; }
 
  protected:
-  // Cache lookup/fill behind the inherited accounting wrapper.
+  // Cache lookup/fill behind the inherited accounting wrappers. ReadImpl
+  // serves a hit itself and is otherwise a run of one.
   Status ReadImpl(BlockId id, std::span<uint8_t> out) override;
+  Status ReadBlocksImpl(BlockId first, uint32_t count,
+                        std::span<const std::span<uint8_t>> outs) override;
   Status WriteImpl(BlockId id, std::span<const uint8_t> data) override;
 
  private:
   struct Page {
     BlockId id;
     bool dirty;
+    // Nonzero while the ReadBlocksImpl call holding this ticket reads the
+    // block from the device; `data` is empty until it lands.
+    uint64_t filling;
     AlignedFrame data;
   };
   using LruList = std::list<Page>;
 
   struct Shard {
     mutable std::mutex mu;
+    // Signalled whenever a claimed read of this shard lands or is dropped.
+    std::condition_variable filled;
     size_t capacity = 0;
     LruList lru;  // Front = most recently used.
     std::unordered_map<BlockId, LruList::iterator> index;
+    // Device reads in flight per block: one per claim not yet published,
+    // whether or not its page is still in the index.
+    std::unordered_map<BlockId, uint32_t> reading;
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
@@ -215,13 +237,31 @@ class BufferPool : public BlockDevice {
   // Moves the page to the MRU position and returns it. Caller holds the
   // shard lock.
   static Page& Touch(Shard& shard, LruList::iterator it);
+  // Counts a hit on the resident, filled page `it`, touches it and copies
+  // it to `out` (when given). Caller holds the shard lock.
+  void ServeHit(Shard& shard, LruList::iterator it, std::span<uint8_t> out);
   // Evicts LRU pages until there is room for one more. Caller holds the
-  // shard lock.
+  // shard lock. A filling victim just leaves the index; its reader keeps
+  // the frame and drops it when the read lands.
   Status EvictIfFull(Shard& shard);
+  // Reads the blocks claimed under `ticket` among [first, first + end) —
+  // those whose frames[i] still holds a frame — with one device ReadBlocks
+  // per maximal claimed sub-run and no shard lock held, copies them to
+  // `outs` (when given) and hands each frame to its page. After a failed
+  // request the remaining claims are withdrawn unread.
+  Status FillClaims(BlockId first, uint32_t end, uint64_t ticket,
+                    std::span<AlignedFrame> frames,
+                    std::span<const std::span<uint8_t>> spans,
+                    std::span<const std::span<uint8_t>> outs);
+  // Lands `frame` in the page of `id` if `ticket` still fills it, or drops
+  // the page when `frame` is empty (a failed read); wakes the shard's
+  // waiters either way.
+  void Publish(BlockId id, uint64_t ticket, AlignedFrame frame);
 
   BlockDevice* device_;
   size_t capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<uint64_t> next_ticket_{0};
 };
 
 }  // namespace ir2

@@ -99,12 +99,11 @@ Status IoScheduler::ReadRun(BlockId first, uint32_t count,
   if (out.size() != static_cast<size_t>(count) * block_size) {
     return Status::InvalidArgument("ReadRun buffer size mismatch");
   }
+  std::vector<std::span<uint8_t>> blocks(count);
   for (uint32_t i = 0; i < count; ++i) {
-    IR2_RETURN_IF_ERROR(pool_->Read(
-        first + i, out.subspan(static_cast<size_t>(i) * block_size,
-                               block_size)));
+    blocks[i] = out.subspan(static_cast<size_t>(i) * block_size, block_size);
   }
-  return Status::Ok();
+  return pool_->ReadBlocks(first, count, blocks);
 }
 
 Status IoScheduler::ReadRun(BlockId first, uint32_t count,
@@ -143,7 +142,6 @@ Status IoScheduler::last_error() const {
 void IoScheduler::WorkerLoop() {
   obs::SpeculativeThreadFlag() = true;
   BlockDevice* device = pool_->device();
-  std::vector<uint8_t> block(pool_->block_size());
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     work_cv_.wait(lock, [this] { return stop_ || !pending_.empty(); });
@@ -158,69 +156,52 @@ void IoScheduler::WorkerLoop() {
     std::vector<BlockId> ids(in_flight_.begin(), in_flight_.end());
     lock.unlock();
 
+    // Greedy coalescing: from the first id not yet in a run, the longest
+    // adjacent ascending run, capped at max_run_blocks.
+    std::vector<IoRequest> runs;
+    for (size_t i = 0; i < ids.size();) {
+      size_t j = i + 1;
+      while (j < ids.size() && ids[j] == ids[j - 1] + 1 &&
+             j - i < options_.max_run_blocks) {
+        ++j;
+      }
+      runs.push_back(IoRequest{ids[i], static_cast<uint32_t>(j - i),
+                               /*user_data=*/runs.size()});
+      i = j;
+    }
     IoStats pass_io;
-    uint64_t runs = 0;
     Status error = Status::Ok();
     if (backend_ != nullptr) {
-      // Submission/completion path: hand each coalesced run to the async
-      // backend and reap. The backend's workers read through the same pool
+      // Submission/completion path: hand each run to the async backend and
+      // reap. The backend's workers read through the same pool
       // (exactly-once against racing demand traffic) and each completion
       // carries the physical I/O its run performed on its worker thread.
-      size_t i = 0;
-      while (i < ids.size()) {
-        size_t j = i + 1;
-        while (j < ids.size() && ids[j] == ids[j - 1] + 1 &&
-               j - i < options_.max_run_blocks) {
-          ++j;
-        }
-        backend_->Submit(IoRequest{ids[i], static_cast<uint32_t>(j - i),
-                                   /*user_data=*/runs});
-        ++runs;
-        i = j;
-      }
+      for (const IoRequest& run : runs) backend_->Submit(run);
       std::vector<IoCompletion> completions;
-      completions.reserve(runs);
-      while (completions.size() < runs) {
+      completions.reserve(runs.size());
+      while (completions.size() < runs.size()) {
         backend_->Reap(&completions,
-                       /*min_completions=*/runs - completions.size());
+                       /*min_completions=*/runs.size() - completions.size());
       }
       for (const IoCompletion& completion : completions) {
         pass_io += completion.io;
-        if (!completion.status.ok()) {
-          if (error.ok()) {
-            error = completion.status;
-          }
+        if (!completion.status.ok() && error.ok()) {
+          error = completion.status;
         }
       }
     } else {
       const IoStats before = device->thread_stats();
-      size_t i = 0;
-      while (i < ids.size()) {
-        // Greedy coalescing: the longest adjacent ascending run from
-        // ids[i], capped at max_run_blocks.
-        size_t j = i + 1;
-        while (j < ids.size() && ids[j] == ids[j - 1] + 1 &&
-               j - i < options_.max_run_blocks) {
-          ++j;
+      for (const IoRequest& run : runs) {
+        obs::TraceSpan span(obs::SpanKind::kPrefetchComplete, run.first);
+        Status s = pool_->ReadBlocks(run.first, run.count);
+        if (!s.ok()) {
+          obs::DefaultMetrics().sched_read_errors->Add();
+          if (error.ok()) error = s;
         }
-        ++runs;
-        {
-          obs::TraceSpan span(obs::SpanKind::kPrefetchComplete, ids[i]);
-          for (size_t at = i; at < j; ++at) {
-            Status s = pool_->Read(ids[at], block);
-            if (!s.ok()) {
-              obs::DefaultMetrics().sched_read_errors->Add();
-              if (error.ok()) {
-                error = s;
-              }
-            }
-          }
-        }
-        i = j;
       }
       pass_io = device->thread_stats() - before;
     }
-    obs::DefaultMetrics().sched_runs->Add(runs);
+    obs::DefaultMetrics().sched_runs->Add(runs.size());
     obs::DefaultMetrics().sched_blocks_fetched->Add(ids.size());
     if (!error.ok()) {
       // Speculation failing is not a query error (demand reads will retry
@@ -231,7 +212,7 @@ void IoScheduler::WorkerLoop() {
 
     lock.lock();
     speculative_ += pass_io;
-    counters_.runs += runs;
+    counters_.runs += runs.size();
     counters_.blocks_fetched += ids.size();
     if (!error.ok() && last_error_.ok()) {
       last_error_ = error;

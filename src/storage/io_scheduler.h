@@ -45,10 +45,12 @@ struct IoSchedulerStats {
 //
 // Prefetch*() enqueues speculative block reads; a background thread sorts
 // the pending set, coalesces adjacent BlockIds into sequential runs (at
-// most max_run_blocks long), and reads each run ascending through the pool,
-// so a prefetched frontier of tree siblings laid out contiguously on disk
-// (see RTreeBase bulk load / CompactInto) costs one random access plus
-// sequential transfers instead of one seek per node. Completed blocks sit
+// most max_run_blocks long), and reads each run with one pool ReadBlocks
+// call — one device request per run of missing blocks — so a prefetched
+// frontier of tree siblings laid out contiguously on disk (see RTreeBase
+// bulk load / CompactInto) costs one random access plus sequential
+// transfers instead of one seek per node. Accounting stays per block: the
+// run counts exactly what one Read per block would. Completed blocks sit
 // in the pool; the demand read that eventually wants them becomes a pool
 // hit and never reaches the device.
 //
@@ -61,14 +63,15 @@ struct IoSchedulerStats {
 //     can never pollute a query thread's thread_stats() — per-thread
 //     sequential cursors make the classification independent too.
 //   * Exactly-once physical reads: a demand read racing a prefetch of the
-//     same block is serialized by the pool's per-shard lock; whichever
-//     loses finds the page resident and stops there. The pending /
+//     same block is decided by the pool's shard lock: the loser waits for
+//     the winner's read to land and then hits. The pending /
 //     in-flight sets additionally dedup repeated prefetch requests before
 //     they cost anything.
 //
 // ReadRun() is the *demand*-side sibling: it reads an ascending block run
-// through the pool on the calling thread (1 random + (n-1) sequential when
-// cold), the streaming path the inverted index uses for posting lists.
+// through the pool's ReadBlocks on the calling thread (1 random + (n-1)
+// sequential when cold), the streaming path the inverted index uses for
+// posting lists.
 //
 // The destructor drains the pending queue (so shutdown cannot abandon
 // in-flight speculation mid-run) and joins the thread.

@@ -55,9 +55,10 @@ class InvertedIndex {
   BlockDevice* device() const { return device_; }
 
   // Streams subsequent posting-list reads through `scheduler`'s demand-side
-  // ReadRun path: a list spanning n blocks becomes one ascending run
-  // (1 random + (n-1) sequential accesses — the identical block sequence
-  // the direct path reads, so I/O accounting is unchanged). The scheduler
+  // ReadRun path: a list spanning n blocks becomes one ascending run, one
+  // device request for its missing blocks (accounted as 1 random + (n-1)
+  // sequential accesses — the identical block sequence the direct path
+  // reads, so I/O accounting is unchanged). The scheduler
   // must wrap this index's device and outlive the index; null restores
   // direct device reads.
   void SetScheduler(IoScheduler* scheduler) { scheduler_ = scheduler; }

@@ -194,7 +194,7 @@ TEST(GeneralSearchTest, MatchesBruteForceRanking) {
     const StoredObject& source = objects[rng.NextUint64(objects.size())];
     std::vector<std::string> words = tokenizer.DistinctTokens(source.text);
     query.keywords = {words[rng.NextUint64(words.size())],
-                      "w" + std::to_string(rng.NextUint64(30))};
+                      testing_util::Token("w", rng.NextUint64(30))};
 
     std::vector<ScoredQueryTerm> terms = BuildQueryTerms(
         *db->inverted_index(), scorer, tokenizer, query.keywords);

@@ -99,7 +99,7 @@ TEST(AreaQueryTest, AllAlgorithmsAgreeOnAreaTargets) {
     double x = rng.NextDouble(0, 900), y = rng.NextDouble(0, 900);
     DistanceFirstQuery query;
     query.area = Rect(Point(x, y), Point(x + 100, y + 100));
-    query.keywords = {"w" + std::to_string(rng.NextUint64(30))};
+    query.keywords = {testing_util::Token("w", rng.NextUint64(30))};
     query.k = 8;
 
     std::vector<uint32_t> expected =

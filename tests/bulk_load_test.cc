@@ -184,7 +184,7 @@ TEST(BulkLoadTest, DatabaseBulkMatchesIncrementalResults) {
   for (int iter = 0; iter < 10; ++iter) {
     DistanceFirstQuery query;
     query.point = Point(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000));
-    query.keywords = {"w" + std::to_string(rng.NextUint64(30))};
+    query.keywords = {testing_util::Token("w", rng.NextUint64(30))};
     query.k = 10;
     std::vector<uint32_t> expected = BruteForceDistanceFirst(
         objects, query.point, query.keywords, query.k);

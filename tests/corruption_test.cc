@@ -60,7 +60,7 @@ TEST(CorruptionTest, InvertedIndexNeverCrashesOnCorruptBlocks) {
     MemoryBlockDevice device;
     InvertedIndexBuilder builder(&device);
     for (uint32_t i = 0; i < 200; ++i) {
-      builder.AddObject(i * 11, {"t" + std::to_string(i % 17), "shared"}, 2);
+      builder.AddObject(i * 11, {testing_util::Token("t", i % 17), "shared"}, 2);
     }
     IR2_CHECK_OK(builder.Finish());
     for (int flips = 0; flips < 4; ++flips) FlipRandomByte(&device, rng);
@@ -69,7 +69,7 @@ TEST(CorruptionTest, InvertedIndexNeverCrashesOnCorruptBlocks) {
     if (!opened.ok()) continue;  // Corrupt superblock/dictionary: fine.
     for (int t = 0; t < 17; ++t) {
       StatusOr<std::vector<ObjectRef>> list =
-          (*opened)->RetrieveList("t" + std::to_string(t));
+          (*opened)->RetrieveList(testing_util::Token("t", t));
       (void)list;
     }
   }

@@ -177,5 +177,38 @@ TEST(FailureInjectionTest, BufferPoolEvictionPropagatesWriteFailure) {
   EXPECT_EQ(pool.Write(2, data).code(), StatusCode::kIoError);
 }
 
+// A run read whose device request fails returns the error and leaves no
+// claimed-but-unfilled frame behind: resident pages stay, the blocks it
+// failed to read are absent, and a retry after the device heals reads the
+// real bytes.
+TEST(FailureInjectionTest, BufferPoolRunReadDropsUnfilledFramesOnFailure) {
+  FlakyBlockDevice device;
+  const size_t block_size = device.block_size();
+  (void)device.Allocate(16).value();
+  for (BlockId id = 0; id < 16; ++id) {
+    std::vector<uint8_t> data(block_size, static_cast<uint8_t>(id + 1));
+    ASSERT_TRUE(device.Write(id, data).ok());
+  }
+  BufferPool pool(&device, 16);
+  std::vector<uint8_t> block(block_size);
+  ASSERT_TRUE(pool.Read(4, block).ok());  // Resident inside the run.
+  device.FailReadsAfter(2);
+  std::vector<uint8_t> out(8 * block_size);
+  std::vector<std::span<uint8_t>> outs;
+  for (size_t i = 0; i < 8; ++i) {
+    outs.push_back(std::span<uint8_t>(out).subspan(i * block_size, block_size));
+  }
+  EXPECT_EQ(pool.ReadBlocks(0, 8, outs).code(), StatusCode::kIoError);
+  EXPECT_TRUE(pool.Contains(4));
+  for (BlockId id : {0, 1, 2, 3, 5, 6, 7}) {
+    EXPECT_FALSE(pool.Contains(id)) << id;
+  }
+  device.Heal();
+  ASSERT_TRUE(pool.ReadBlocks(0, 8, outs).ok());
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(out[i * block_size], static_cast<uint8_t>(i + 1)) << i;
+  }
+}
+
 }  // namespace
 }  // namespace ir2

@@ -276,8 +276,8 @@ TEST_F(FileDeviceAsyncTest, DatabaseRoundTripOnRealFilesWithAsyncIo) {
   for (int iter = 0; iter < 10; ++iter) {
     DistanceFirstQuery query;
     query.point = Point(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000));
-    query.keywords = {"w" + std::to_string(rng.NextUint64(30)),
-                      "w" + std::to_string(rng.NextUint64(30))};
+    query.keywords = {testing_util::Token("w", rng.NextUint64(30)),
+                      testing_util::Token("w", rng.NextUint64(30))};
     query.k = 8;
     EXPECT_EQ(ResultIds(reopened->Query(query, Algorithm::kIr2).value()),
               ResultIds(built->Query(query, Algorithm::kIr2).value()));

@@ -70,8 +70,8 @@ TEST(HybridIndexTest, MatchesBruteForceViaTreesAndViaPostings) {
     for (int iter = 0; iter < 10; ++iter) {
       DistanceFirstQuery query;
       query.point = Point(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000));
-      query.keywords = {"w" + std::to_string(rng.NextUint64(25)),
-                        "w" + std::to_string(rng.NextUint64(25))};
+      query.keywords = {testing_util::Token("w", rng.NextUint64(25)),
+                        testing_util::Token("w", rng.NextUint64(25))};
       query.k = 10;
       std::vector<uint32_t> expected = BruteForceDistanceFirst(
           objects, query.point, query.keywords, query.k);

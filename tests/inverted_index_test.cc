@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "storage/block_device.h"
+#include "tests/test_util.h"
 #include "text/inverted_index.h"
 
 namespace ir2 {
@@ -119,7 +120,7 @@ TEST(InvertedIndexTest, PropertyRandomCorpusRoundTrip) {
       uint32_t term = static_cast<uint32_t>(rng.NextUint64(vocab));
       if (used[term]) continue;
       used[term] = true;
-      words.push_back("t" + std::to_string(term));
+      words.push_back(testing_util::Token("t", term));
       expected[term].push_back(ref);
     }
     builder.AddObject(ref, words, static_cast<uint32_t>(words.size()));
@@ -127,10 +128,10 @@ TEST(InvertedIndexTest, PropertyRandomCorpusRoundTrip) {
   ASSERT_TRUE(builder.Finish().ok());
   auto index = InvertedIndex::Open(&device).value();
   for (uint32_t term = 0; term < vocab; ++term) {
-    EXPECT_EQ(index->RetrieveList("t" + std::to_string(term)).value(),
+    EXPECT_EQ(index->RetrieveList(testing_util::Token("t", term)).value(),
               expected[term])
         << "term " << term;
-    EXPECT_EQ(index->DocumentFrequency("t" + std::to_string(term)),
+    EXPECT_EQ(index->DocumentFrequency(testing_util::Token("t", term)),
               expected[term].size());
   }
 }

@@ -92,7 +92,7 @@ TEST(Ir2TreeTest, ParentSignaturesSuperimposeChildren) {
     ASSERT_TRUE(fx.InsertText(i,
                               Point(rng.NextDouble(0, 100),
                                     rng.NextDouble(0, 100)),
-                              "w" + std::to_string(i % 11) + " shared")
+                              testing_util::Token("w", i % 11) + " shared")
                     .ok());
   }
   // Validate() checks the payload superimposition invariant for uniform
@@ -111,7 +111,7 @@ TEST(Ir2TreeTest, SignatureFilterNeverPrunesTrueMatches) {
   }
   Tokenizer tokenizer;
   for (int w = 0; w < 40; w += 7) {
-    std::vector<std::string> keywords = {"w" + std::to_string(w)};
+    std::vector<std::string> keywords = {testing_util::Token("w", w)};
     std::set<ObjectRef> expected;
     for (uint32_t i = 0; i < objects.size(); ++i) {
       if (ContainsAllKeywords(tokenizer, objects[i].text, keywords)) {

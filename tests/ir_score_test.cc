@@ -6,6 +6,7 @@
 #include "common/random.h"
 #include "text/ir_score.h"
 #include "text/signature.h"
+#include "tests/test_util.h"
 #include "text/tokenizer.h"
 
 namespace ir2 {
@@ -97,7 +98,7 @@ TEST(IrScorerTest, PropertyUpperBoundDominatesActualScores) {
     }
     uint64_t filler = rng.NextUint64(10);
     for (uint64_t i = 0; i < filler; ++i) {
-      text += "x" + std::to_string(i) + " ";
+      text += testing_util::Token("x", i) + " ";
     }
     if (text.empty()) continue;
     TermCounts doc = CountTerms(tokenizer, text);

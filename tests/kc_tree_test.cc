@@ -225,7 +225,7 @@ TEST(KcTreeTest, HotBitmapIsExactColdTailNeverFalseNegatives) {
   ASSERT_TRUE(fx.tree->Validate().ok());
 
   for (uint32_t w = 0; w < 25; ++w) {
-    const std::string word = "w" + std::to_string(w);
+    const std::string word = testing_util::Token("w", w);
     const uint64_t hash = HashWord(word);
     const bool hot = fx.vocab.HotBit(hash) >= 0;
     Signature bits;
@@ -287,7 +287,7 @@ TEST(KcTreeTest, TopKMatchesBruteForceFuzz) {
       const uint32_t num_keywords = 1 + static_cast<uint32_t>(
           rng.NextUint64(3));
       for (uint32_t j = 0; j < num_keywords; ++j) {
-        query.keywords.push_back("w" + std::to_string(rng.NextUint64(18)));
+        query.keywords.push_back(testing_util::Token("w", rng.NextUint64(18)));
       }
       QueryStats stats;
       auto results = KcTopK(*fx.tree, store, fx.tokenizer, query, &stats);

@@ -107,7 +107,7 @@ TEST(Mir2TreeTest, IncrementalMaintenanceGivesCorrectResults) {
   for (int w = 0; w < 30; w += 5) {
     DistanceFirstQuery query;
     query.point = Point(500, 500);
-    query.keywords = {"w" + std::to_string(w)};
+    query.keywords = {testing_util::Token("w", w)};
     query.k = 10;
     std::vector<QueryResult> results =
         Ir2TopK(*fx.tree, *fx.store, fx.tokenizer, query).value();
@@ -127,7 +127,7 @@ TEST(Mir2TreeTest, DeferredBulkLoadMatchesIncremental) {
   for (int w = 0; w < 25; w += 3) {
     DistanceFirstQuery query;
     query.point = Point(250, 750);
-    query.keywords = {"w" + std::to_string(w)};
+    query.keywords = {testing_util::Token("w", w)};
     query.k = 8;
     auto a = Ir2TopK(*incremental.tree, *incremental.store,
                      incremental.tokenizer, query)

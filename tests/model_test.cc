@@ -106,9 +106,9 @@ TEST_P(ModelSweep, RandomOpsAgreeWithOracle) {
       query.point = Point(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000));
       query.k = 1 + static_cast<uint32_t>(rng.NextUint64(8));
       if (rng.NextBool(0.8)) {
-        query.keywords = {"w" + std::to_string(rng.NextUint64(25))};
+        query.keywords = {testing_util::Token("w", rng.NextUint64(25))};
         if (rng.NextBool(0.3)) {
-          query.keywords.push_back("w" + std::to_string(rng.NextUint64(25)));
+          query.keywords.push_back(testing_util::Token("w", rng.NextUint64(25)));
         }
       }
       std::vector<StoredObject> current;

@@ -52,7 +52,7 @@ TEST_F(PersistenceTest, SaveOpenRoundTripPreservesEverything) {
   for (int iter = 0; iter < 8; ++iter) {
     DistanceFirstQuery query;
     query.point = Point(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000));
-    query.keywords = {"w" + std::to_string(rng.NextUint64(30))};
+    query.keywords = {testing_util::Token("w", rng.NextUint64(30))};
     query.k = 10;
     EXPECT_EQ(ResultIds(reopened->Query(query, Algorithm::kRTree).value()),
               ResultIds(built->Query(query, Algorithm::kRTree).value()));
@@ -137,7 +137,7 @@ TEST_F(PersistenceTest, FileBackedQueriesCostIdenticalDiskAccesses) {
   for (int iter = 0; iter < 5; ++iter) {
     DistanceFirstQuery query;
     query.point = Point(rng.NextDouble(0, 1000), rng.NextDouble(0, 1000));
-    query.keywords = {"w" + std::to_string(rng.NextUint64(25))};
+    query.keywords = {testing_util::Token("w", rng.NextUint64(25))};
     query.k = 10;
     QueryStats memory_stats, file_stats;
     auto a = memory_db->Query(query, Algorithm::kIr2, &memory_stats).value();

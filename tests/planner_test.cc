@@ -75,7 +75,7 @@ class CostModelTest : public ::testing::Test {
     inputs.kc_cold_hashes = 3;
     for (uint64_t df : {50ull, 500ull, 5000ull, 50000ull}) {
       inputs.kc_hot_word_dfs.emplace_back(
-          HashWord("h" + std::to_string(df)), df);
+          HashWord(testing_util::Token("h", df)), df);
     }
     std::sort(inputs.kc_hot_word_dfs.begin(), inputs.kc_hot_word_dfs.end());
     planner_ = std::make_unique<QueryPlanner>(inputs, nullptr, nullptr);
@@ -126,7 +126,7 @@ TEST_F(CostModelTest, DocumentFrequencyMovesCostsOppositeWays) {
     const ConjunctionEstimate est = Estimate({df});
     // The fixture registers "h<df>" as a hot word with this df, so the KC
     // cost routes through the exact-bitmap model, not the cold floor.
-    const uint64_t hash = HashWord("h" + std::to_string(df));
+    const uint64_t hash = HashWord(testing_util::Token("h", df));
     const double tree = planner_->StaticCost(Algorithm::kIr2, k, est);
     const double rtree = planner_->StaticCost(Algorithm::kRTree, k, est);
     const double kc = planner_->StaticCost(Algorithm::kKcTree, k, est, {},

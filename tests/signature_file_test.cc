@@ -72,7 +72,7 @@ TEST(SignatureFileTest, NoFalseNegativesManyObjects) {
   auto file = SignatureFile::Open(&device).value();
 
   for (int w = 0; w < 40; w += 6) {
-    std::string keyword = "w" + std::to_string(w);
+    std::string keyword = testing_util::Token("w", w);
     std::set<ObjectRef> expected;
     for (uint32_t i = 0; i < objects.size(); ++i) {
       if (ContainsAllKeywords(tokenizer, objects[i].text, {keyword})) {
@@ -96,7 +96,7 @@ TEST(SignatureFileTest, ScanIsSequentialIo) {
   SignatureConfig config{256, 3};
   SignatureFileBuilder builder(&device, config);
   for (uint32_t i = 0; i < 2000; ++i) {
-    std::vector<uint64_t> hash = {HashWord("w" + std::to_string(i % 9))};
+    std::vector<uint64_t> hash = {HashWord(testing_util::Token("w", i % 9))};
     builder.AddObject(i, hash);
   }
   ASSERT_TRUE(builder.Finish().ok());

@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <climits>
+#include <condition_variable>
 #include <cstdio>
+#include <filesystem>
+#include <future>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "storage/block_device.h"
@@ -364,6 +374,441 @@ TEST(BlockDeviceTest, ThreadCursorIsolation) {
   EXPECT_EQ(device.thread_stats().random_reads, 2u);
   EXPECT_EQ(pool.thread_stats().sequential_reads, 2u);
   EXPECT_EQ(device.thread_stats().sequential_reads, 2u);
+}
+
+// ---- Run reads: ReadBlocks (raw devices and pools) vs one Read per block ----
+
+// Block `id`'s fill byte at offset `i`, distinct per block and position.
+uint8_t PatternByte(BlockId id, size_t i) {
+  return static_cast<uint8_t>(id * 131 + i * 7 + 1);
+}
+
+// Two devices of one kind with identical contents, so one can serve a run
+// request and the other the same blocks one Read at a time.
+class RunReadTest : public ::testing::TestWithParam<bool /*file*/> {
+ protected:
+  static constexpr size_t kBlockSize = 4096;
+  static constexpr uint64_t kBlocks = IOV_MAX + 300;
+
+  void SetUp() override {
+    run_device_ = MakeDevice("run");
+    loop_device_ = MakeDevice("loop");
+  }
+  void TearDown() override {
+    run_device_.reset();
+    loop_device_.reset();
+    for (const std::string& path : paths_) std::filesystem::remove(path);
+  }
+
+  std::unique_ptr<BlockDevice> MakeDevice(const std::string& name) {
+    std::unique_ptr<BlockDevice> device;
+    if (GetParam()) {
+      const std::string path =
+          ::testing::TempDir() + "/ir2_run_read_" + name + ".dat";
+      paths_.push_back(path);
+      FileBlockDeviceOptions options;
+      options.direct_io = true;
+      device = FileBlockDevice::Create(path, kBlockSize, options).value();
+    } else {
+      device = std::make_unique<MemoryBlockDevice>(kBlockSize);
+    }
+    EXPECT_EQ(device->Allocate(kBlocks).value(), 0u);
+    std::vector<uint8_t> block(kBlockSize);
+    for (BlockId id = 0; id < kBlocks; ++id) {
+      for (size_t i = 0; i < kBlockSize; ++i) block[i] = PatternByte(id, i);
+      EXPECT_TRUE(device->Write(id, block).ok());
+    }
+    device->ResetStats();
+    return device;
+  }
+
+  // Per-block views of `buffer` starting `skew` bytes in.
+  static std::vector<std::span<uint8_t>> Blocks(std::span<uint8_t> buffer,
+                                                size_t skew, uint32_t count) {
+    std::vector<std::span<uint8_t>> blocks;
+    for (uint32_t i = 0; i < count; ++i) {
+      blocks.push_back(buffer.subspan(
+          skew + static_cast<size_t>(i) * kBlockSize, kBlockSize));
+    }
+    return blocks;
+  }
+
+  static void ExpectPattern(std::span<const uint8_t> bytes, BlockId first) {
+    for (size_t at = 0; at < bytes.size(); at += kBlockSize / 2 + 1) {
+      ASSERT_EQ(bytes[at], PatternByte(first + at / kBlockSize,
+                                       at % kBlockSize))
+          << "byte " << at;
+    }
+  }
+
+  // One Read per block of [first, first + count) on `device` into `out`.
+  static Status ReadLoop(BlockDevice* device, BlockId first, uint32_t count,
+                         std::span<uint8_t> out) {
+    for (uint32_t i = 0; i < count; ++i) {
+      IR2_RETURN_IF_ERROR(device->Read(
+          first + i, out.subspan(static_cast<size_t>(i) * kBlockSize,
+                                 kBlockSize)));
+    }
+    return Status::Ok();
+  }
+
+  // ReadBlocks on one device vs a Read loop on the other: same bytes, same
+  // per-thread accounting, and the same cursor afterwards. Without `out`
+  // the run is read into no buffer and only the accounting is compared.
+  void ExpectDeviceRunMatchesLoop(BlockId first, uint32_t count, size_t skew,
+                                  bool with_out = true) {
+    SCOPED_TRACE("device run at " + std::to_string(first) + " x " +
+                 std::to_string(count) + " skew " + std::to_string(skew) +
+                 (with_out ? "" : " (no out)"));
+    // Page-aligned, so skew 0 takes the direct (no bounce) path.
+    AlignedFrame run_buffer(count * kBlockSize + skew);
+    std::vector<uint8_t> loop_buffer(count * kBlockSize);
+    const IoStats run_before = run_device_->thread_stats();
+    const IoStats loop_before = loop_device_->thread_stats();
+    const std::vector<std::span<uint8_t>> outs =
+        with_out ? Blocks(run_buffer.span(), skew, count)
+                 : std::vector<std::span<uint8_t>>();
+    ASSERT_TRUE(run_device_->ReadBlocks(first, count, outs).ok());
+    ASSERT_TRUE(ReadLoop(loop_device_.get(), first, count, loop_buffer).ok());
+    if (with_out) {
+      EXPECT_TRUE(std::equal(loop_buffer.begin(), loop_buffer.end(),
+                             run_buffer.data() + skew));
+    }
+    ExpectPattern(loop_buffer, first);
+    EXPECT_EQ(run_device_->thread_stats() - run_before,
+              loop_device_->thread_stats() - loop_before);
+    ExpectSameNextRead(run_device_.get(), loop_device_.get(), first + count);
+  }
+
+  // The class of one more read of `id` (sequential iff the cursor sits at
+  // id - 1) is the same on both devices.
+  static void ExpectSameNextRead(BlockDevice* a, BlockDevice* b, BlockId id) {
+    if (id >= kBlocks) return;
+    std::vector<uint8_t> block(kBlockSize);
+    const IoStats a_before = a->thread_stats();
+    const IoStats b_before = b->thread_stats();
+    ASSERT_TRUE(a->Read(id, block).ok());
+    ASSERT_TRUE(b->Read(id, block).ok());
+    EXPECT_EQ(a->thread_stats() - a_before, b->thread_stats() - b_before);
+  }
+
+  std::unique_ptr<BlockDevice> run_device_;
+  std::unique_ptr<BlockDevice> loop_device_;
+  std::vector<std::string> paths_;
+};
+
+TEST_P(RunReadTest, ReadBlocksAccountsLikeOneReadPerBlock) {
+  ExpectDeviceRunMatchesLoop(5, 3, /*skew=*/0);     // Cold: one seek.
+  ExpectDeviceRunMatchesLoop(9, 4, /*skew=*/0);     // At cursor + 1.
+  ExpectDeviceRunMatchesLoop(20, 1, /*skew=*/0);    // A single block.
+  ExpectDeviceRunMatchesLoop(0, IOV_MAX + 200, 0);  // Several preadv calls.
+  ExpectDeviceRunMatchesLoop(40, 7, /*skew=*/1);    // Unaligned buffer.
+  ExpectDeviceRunMatchesLoop(kBlocks - 3, 3, /*skew=*/0);  // Up to the end.
+  ExpectDeviceRunMatchesLoop(60, 5, /*skew=*/0, /*with_out=*/false);
+  ExpectDeviceRunMatchesLoop(1, IOV_MAX + 1, /*skew=*/0, /*with_out=*/false);
+
+  // Out of range: nothing is read or counted, and the cursor stays put.
+  std::vector<uint8_t> buffer(4 * kBlockSize);
+  const IoStats before = run_device_->thread_stats();
+  EXPECT_EQ(run_device_->ReadBlocks(kBlocks, 1, Blocks(buffer, 0, 1)).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(run_device_->ReadBlocks(kBlocks, 1).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(loop_device_->Read(kBlocks, Blocks(buffer, 0, 1)[0]).code(),
+            StatusCode::kOutOfRange);
+  // A run straddling the end is refused whole, not read up to the end.
+  EXPECT_EQ(
+      run_device_->ReadBlocks(kBlocks - 2, 4, Blocks(buffer, 0, 4)).code(),
+      StatusCode::kOutOfRange);
+  // A buffer of the wrong size, or a buffer count other than `count`, is
+  // refused too.
+  const std::vector<std::span<uint8_t>> short_block = {
+      std::span<uint8_t>(buffer).first(100)};
+  EXPECT_EQ(run_device_->ReadBlocks(0, 1, short_block).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(run_device_->ReadBlocks(0, 3, Blocks(buffer, 0, 2)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(run_device_->thread_stats(), before);
+  ExpectSameNextRead(run_device_.get(), loop_device_.get(), 100);
+}
+
+// BufferPool::ReadBlocks on one pool vs a Read loop on an identical pool with
+// an identical history: bytes, both levels' per-thread accounting, the
+// next read's class, hits/misses/evictions and the resident set all match.
+class PoolRunReadTest : public RunReadTest {
+ protected:
+  void MakePools(size_t capacity, size_t shards) {
+    run_pool_ = std::make_unique<BufferPool>(run_device_.get(), capacity,
+                                             shards);
+    loop_pool_ = std::make_unique<BufferPool>(loop_device_.get(), capacity,
+                                              shards);
+  }
+
+  // Applies the same single-block history to both pools.
+  void Touch(std::initializer_list<BlockId> ids) {
+    std::vector<uint8_t> block(kBlockSize);
+    for (BlockId id : ids) {
+      ASSERT_TRUE(run_pool_->Read(id, block).ok());
+      ASSERT_TRUE(loop_pool_->Read(id, block).ok());
+    }
+  }
+
+  void ExpectPoolRunMatchesLoop(BlockId first, uint32_t count, size_t skew,
+                                bool with_out = true) {
+    SCOPED_TRACE("pool run at " + std::to_string(first) + " x " +
+                 std::to_string(count) + " skew " + std::to_string(skew) +
+                 (with_out ? "" : " (no out)"));
+    std::vector<uint8_t> run_buffer(count * kBlockSize + skew);
+    std::vector<uint8_t> loop_buffer(count * kBlockSize);
+    const IoStats run_logical = run_pool_->thread_stats();
+    const IoStats loop_logical = loop_pool_->thread_stats();
+    const IoStats run_physical = run_device_->thread_stats();
+    const IoStats loop_physical = loop_device_->thread_stats();
+    const std::vector<std::span<uint8_t>> outs =
+        with_out ? Blocks(run_buffer, skew, count)
+                 : std::vector<std::span<uint8_t>>();
+    ASSERT_TRUE(run_pool_->ReadBlocks(first, count, outs).ok());
+    ASSERT_TRUE(ReadLoop(loop_pool_.get(), first, count, loop_buffer).ok());
+    if (with_out) {
+      EXPECT_TRUE(std::equal(loop_buffer.begin(), loop_buffer.end(),
+                             run_buffer.begin() + skew));
+    }
+    ExpectPattern(loop_buffer, first);
+    EXPECT_EQ(run_pool_->thread_stats() - run_logical,
+              loop_pool_->thread_stats() - loop_logical);
+    EXPECT_EQ(run_device_->thread_stats() - run_physical,
+              loop_device_->thread_stats() - loop_physical);
+    ExpectSamePoolState();
+    ExpectSameNextRead(run_pool_.get(), loop_pool_.get(), first + count);
+    ExpectSamePoolState();
+  }
+
+  void ExpectSamePoolState() {
+    const BufferPoolStats run = run_pool_->Stats();
+    const BufferPoolStats loop = loop_pool_->Stats();
+    EXPECT_EQ(run.hits, loop.hits);
+    EXPECT_EQ(run.misses, loop.misses);
+    EXPECT_EQ(run.evictions, loop.evictions);
+    for (BlockId id = 0; id < kBlocks; ++id) {
+      ASSERT_EQ(run_pool_->Contains(id), loop_pool_->Contains(id)) << id;
+    }
+  }
+
+  std::unique_ptr<BufferPool> run_pool_;
+  std::unique_ptr<BufferPool> loop_pool_;
+};
+
+TEST_P(PoolRunReadTest, ResidentBlocksInsideRunsHitInPlace) {
+  MakePools(/*capacity=*/4096, /*shards=*/16);
+  Touch({3, 5, 6, 10, 200});
+  ExpectPoolRunMatchesLoop(2, 12, /*skew=*/0);  // Hits split the misses.
+  ExpectPoolRunMatchesLoop(14, 6, /*skew=*/0);  // At cursor + 1.
+  ExpectPoolRunMatchesLoop(0, 20, /*skew=*/0);  // Fully resident.
+  ExpectPoolRunMatchesLoop(198, 5, /*skew=*/3);  // Unaligned caller buffer.
+  ExpectPoolRunMatchesLoop(300, 9, /*skew=*/0, /*with_out=*/false);
+  ExpectPoolRunMatchesLoop(0, IOV_MAX + 200, /*skew=*/0);
+}
+
+// A pool smaller than the run. Claiming frames for the first misses evicts
+// the resident blocks 9 and (dirty, so written back) 7 before the run
+// reaches them, so both become misses in turn; later claims evict frames
+// of the same run that are not yet filled. All of it must match one Read
+// per block.
+TEST_P(PoolRunReadTest, EvictionsInsideRunsMatchPerBlockOrder) {
+  MakePools(/*capacity=*/4, /*shards=*/1);
+  Touch({9, 7});
+  std::vector<uint8_t> dirty(kBlockSize);
+  for (size_t i = 0; i < kBlockSize; ++i) dirty[i] = PatternByte(7, i);
+  ASSERT_TRUE(run_pool_->Write(7, dirty).ok());
+  ASSERT_TRUE(loop_pool_->Write(7, dirty).ok());
+  ExpectPoolRunMatchesLoop(3, 8, /*skew=*/0);
+  EXPECT_EQ(run_pool_->Stats().hits, 0u);
+  EXPECT_EQ(run_device_->thread_stats().TotalWrites(), 1u);  // Block 7.
+  ExpectPoolRunMatchesLoop(8, 4, /*skew=*/0);
+  ExpectPoolRunMatchesLoop(30, 20, /*skew=*/5, /*with_out=*/false);
+}
+
+TEST_P(PoolRunReadTest, BypassPoolReadsTheRunStraightThrough) {
+  MakePools(/*capacity=*/0, /*shards=*/0);
+  ExpectPoolRunMatchesLoop(5, 8, /*skew=*/0);
+  ExpectPoolRunMatchesLoop(13, 3, /*skew=*/1);  // At cursor + 1, unaligned.
+  ExpectPoolRunMatchesLoop(40, 2, /*skew=*/0, /*with_out=*/false);
+  ExpectPoolRunMatchesLoop(0, IOV_MAX + 200, /*skew=*/0);
+}
+
+TEST_P(PoolRunReadTest, OutOfRangeRunsCountNothing) {
+  MakePools(/*capacity=*/64, /*shards=*/4);
+  Touch({1, 2});
+  const IoStats logical = run_pool_->thread_stats();
+  const IoStats physical = run_device_->thread_stats();
+  std::vector<uint8_t> buffer(4 * kBlockSize);
+  EXPECT_EQ(run_pool_->ReadBlocks(kBlocks, 1).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(
+      run_pool_->ReadBlocks(kBlocks - 2, 4, Blocks(buffer, 0, 4)).code(),
+      StatusCode::kOutOfRange);
+  EXPECT_EQ(loop_pool_->Read(kBlocks, std::span<uint8_t>(buffer).first(
+                                          kBlockSize))
+                .code(),
+            StatusCode::kOutOfRange);
+  const std::vector<std::span<uint8_t>> short_blocks = {
+      std::span<uint8_t>(buffer).first(10),
+      std::span<uint8_t>(buffer).subspan(kBlockSize, 10)};
+  EXPECT_EQ(run_pool_->ReadBlocks(0, 2, short_blocks).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(run_pool_->thread_stats(), logical);
+  EXPECT_EQ(run_device_->thread_stats(), physical);
+  ExpectSamePoolState();
+  ExpectPoolRunMatchesLoop(3, 2, /*skew=*/0);  // Cursor still at block 2.
+}
+
+INSTANTIATE_TEST_SUITE_P(Devices, RunReadTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "FileDirectIo" : "Memory";
+                         });
+INSTANTIATE_TEST_SUITE_P(Devices, PoolRunReadTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "FileDirectIo" : "Memory";
+                         });
+
+// A memory device that parks any read covering the gated block until
+// Open(), so a test can hold one pool read inside the device.
+class GatedDevice final : public BlockDevice {
+ public:
+  GatedDevice() : BlockDevice(kDefaultBlockSize), inner_(kDefaultBlockSize) {}
+
+  uint64_t NumBlocks() const override { return inner_.NumBlocks(); }
+  StatusOr<BlockId> Allocate(uint32_t count) override {
+    return inner_.Allocate(count);
+  }
+
+  void Close(BlockId gated) {
+    std::lock_guard<std::mutex> lock(mu_);
+    gated_ = gated;
+    open_ = false;
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  // Returns once a read is parked at the gate.
+  void WaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  // Device reads that covered `id` so far.
+  int ReadsOf(BlockId id) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return reads_[id];
+  }
+
+ protected:
+  Status ReadImpl(BlockId id, std::span<uint8_t> out) override {
+    return ReadBlocksImpl(id, 1, std::span<const std::span<uint8_t>>(&out, 1));
+  }
+  Status ReadBlocksImpl(BlockId first, uint32_t count,
+                        std::span<const std::span<uint8_t>> outs) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (!open_ && first <= gated_ && gated_ < first + count) {
+        parked_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return open_; });
+      }
+      for (uint32_t i = 0; i < count; ++i) ++reads_[first + i];
+    }
+    return inner_.ReadBlocks(first, count, outs);
+  }
+  Status WriteImpl(BlockId id, std::span<const uint8_t> data) override {
+    return inner_.Write(id, data);
+  }
+
+ private:
+  MemoryBlockDevice inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  BlockId gated_ = kInvalidBlockId;
+  bool open_ = true;
+  bool parked_ = false;
+  std::map<BlockId, int> reads_;
+};
+
+// A pool read claims its missing blocks under the shard lock but reads the
+// device with no lock held. With one shard, while a prefetch run is parked
+// inside the device, a read of a block outside the run still completes,
+// and a read of a block inside it waits for the run, then hits: the block
+// reaches the device once.
+TEST(BufferPoolTest, RunReadsTheDeviceWithNoShardLockHeld) {
+  GatedDevice device;
+  const size_t block_size = device.block_size();
+  ASSERT_EQ(device.Allocate(128).value(), 0u);
+  std::vector<uint8_t> block(block_size);
+  for (BlockId id = 0; id < 128; ++id) {
+    for (size_t i = 0; i < block_size; ++i) block[i] = PatternByte(id, i);
+    ASSERT_TRUE(device.Write(id, block).ok());
+  }
+  BufferPool pool(&device, /*capacity_blocks=*/256, /*num_shards=*/1);
+  device.Close(/*gated=*/5);
+  std::thread run([&] { EXPECT_TRUE(pool.ReadBlocks(0, 64).ok()); });
+  device.WaitParked();
+
+  std::future<bool> outside = std::async(std::launch::async, [&] {
+    std::vector<uint8_t> out(block_size);
+    return pool.Read(100, out).ok() && out[7] == PatternByte(100, 7);
+  });
+  EXPECT_EQ(outside.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "a read outside the parked run waited for it";
+  std::atomic<bool> inside_done{false};
+  std::thread inside([&] {
+    std::vector<uint8_t> out(block_size);
+    EXPECT_TRUE(pool.Read(5, out).ok());
+    EXPECT_EQ(out[7], PatternByte(5, 7));
+    inside_done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(inside_done.load()) << "block 5 is still being read";
+
+  device.Open();
+  run.join();
+  inside.join();
+  EXPECT_TRUE(outside.get());
+  EXPECT_EQ(device.ReadsOf(5), 1);
+  EXPECT_EQ(device.ReadsOf(100), 1);
+  EXPECT_EQ(pool.Stats().misses, 65u);  // The run, and block 100.
+  EXPECT_EQ(pool.Stats().hits, 1u);     // Block 5, after waiting.
+}
+
+// A vectored read that stopped short resumes at the first byte it did not
+// transfer: mid-block, the rest of that block then every later one; on a
+// block boundary, the next block whole.
+TEST(RemainingIovecsTest, ResumesAfterShortTransfer) {
+  std::vector<uint8_t> buffer(4 * 512);
+  std::vector<std::span<uint8_t>> outs;
+  for (size_t i = 0; i < 4; ++i) {
+    outs.push_back(std::span<uint8_t>(buffer).subspan(i * 512, 512));
+  }
+  iovec iov[4];
+  ASSERT_EQ(RemainingIovecs(outs, 0, iov), 4u);
+  EXPECT_EQ(iov[0].iov_base, buffer.data());
+  EXPECT_EQ(iov[3].iov_len, 512u);
+
+  ASSERT_EQ(RemainingIovecs(outs, 512 + 100, iov), 3u);  // Mid-block.
+  EXPECT_EQ(iov[0].iov_base, buffer.data() + 612);
+  EXPECT_EQ(iov[0].iov_len, 412u);
+  EXPECT_EQ(iov[1].iov_base, buffer.data() + 1024);
+  EXPECT_EQ(iov[1].iov_len, 512u);
+  EXPECT_EQ(iov[2].iov_base, buffer.data() + 1536);
+
+  ASSERT_EQ(RemainingIovecs(outs, 2 * 512, iov), 2u);  // On a boundary.
+  EXPECT_EQ(iov[0].iov_base, buffer.data() + 1024);
+  EXPECT_EQ(iov[0].iov_len, 512u);
+  EXPECT_EQ(iov[1].iov_base, buffer.data() + 1536);
+
+  EXPECT_EQ(RemainingIovecs(outs, 4 * 512, iov), 0u);  // Complete.
 }
 
 StoredObject MakeObject(uint32_t id, double x, double y, std::string text) {

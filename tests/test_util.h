@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -41,6 +42,15 @@ inline std::vector<StoredObject> Figure1Hotels() {
 // The paper's running query point.
 inline Point Figure1QueryPoint() { return Point(30.5, 100.0); }
 
+// `prefix` followed by `n` in decimal: Token("w", 7) is "w7". Built with
+// append, because GCC 12 reports a false -Wrestrict overlap for the
+// equivalent `"w" + std::to_string(n)`.
+inline std::string Token(std::string_view prefix, uint64_t n) {
+  std::string token(prefix);
+  token.append(std::to_string(n));
+  return token;
+}
+
 // Small random dataset for property tests: `n` objects with 2-d uniform
 // positions in [0, 1000)^2 and `words_per_object` words from a vocabulary
 // {w0 .. w<vocab-1>} (uniformly drawn, so keyword selectivity ~= 1/vocab *
@@ -55,9 +65,9 @@ inline std::vector<StoredObject> RandomObjects(uint64_t seed, uint32_t n,
     StoredObject object;
     object.id = i;
     object.coords = {rng.NextDouble(0, 1000), rng.NextDouble(0, 1000)};
-    object.text = "o" + std::to_string(i);
+    object.text = Token("o", i);
     for (uint32_t w = 0; w < words_per_object; ++w) {
-      object.text += " w" + std::to_string(rng.NextUint64(vocab));
+      object.text.append(Token(" w", rng.NextUint64(vocab)));
     }
     objects.push_back(std::move(object));
   }

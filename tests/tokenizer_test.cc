@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "tests/test_util.h"
 #include "text/tokenizer.h"
 
 namespace ir2 {
@@ -84,8 +85,8 @@ TEST(TokenizerTest, ContainsAllNormalizedKeywordsPastMaskWidth) {
   std::vector<std::string> kw;
   std::string text;
   for (int i = 0; i < 70; ++i) {
-    kw.push_back("w" + std::to_string(i));
-    text += " w" + std::to_string(i);
+    kw.push_back(testing_util::Token("w", i));
+    text += testing_util::Token(" w", i);
   }
   EXPECT_TRUE(ContainsAllNormalizedKeywords(text, kw));
   kw.push_back("missing");

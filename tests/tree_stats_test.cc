@@ -5,6 +5,7 @@
 #include "rtree/rtree.h"
 #include "rtree/tree_stats.h"
 #include "storage/buffer_pool.h"
+#include "tests/test_util.h"
 #include "text/tokenizer.h"
 
 namespace ir2 {
@@ -85,7 +86,7 @@ TEST(TreeStatsTest, SignatureDensityGrowsTowardRoot) {
   Rng rng(2);
   Tokenizer tokenizer;
   for (uint32_t i = 0; i < 300; ++i) {
-    std::string text = "w" + std::to_string(i % 60) + " w" +
+    std::string text = testing_util::Token("w", i % 60) + " w" +
                        std::to_string((i * 7) % 60);
     std::vector<std::string> words = tokenizer.DistinctTokens(text);
     ASSERT_TRUE(tree.InsertObject(
