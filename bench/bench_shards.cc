@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -29,6 +30,15 @@
 namespace ir2 {
 namespace bench {
 namespace {
+
+// Alternated zipf_hot runs per tier behind the p99 acceptance verdict.
+constexpr int kP99Repeats = 5;
+
+// Middle element (kP99Repeats is odd).
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
 
 struct RunConfig {
   bool smoke = false;
@@ -115,11 +125,11 @@ uint64_t CountGoldenMismatches(serving::ShardedDatabase& sharded,
   return mismatches;
 }
 
-WorkloadResult ServeWorkload(serving::ShardedDatabase& sharded,
-                             const std::vector<DistanceFirstQuery>& queries,
-                             const RunConfig& config,
-                             const DatabaseOptions& options,
-                             const char* name) {
+// Serves `queries` through a ServerLoop over `sharded` and fills in the
+// measured fields: wall-clock qps, p50/p99, fan-out and pruned legs.
+WorkloadResult Serve(serving::ShardedDatabase& sharded,
+                     const std::vector<DistanceFirstQuery>& queries,
+                     const RunConfig& config, const char* name) {
   serving::ServerLoopOptions loop_options;
   loop_options.num_workers = config.num_workers;
   loop_options.queue_capacity = queries.size() + 1;  // No shedding measured.
@@ -156,6 +166,16 @@ WorkloadResult ServeWorkload(serving::ShardedDatabase& sharded,
   result.mean_fanout = static_cast<double>(fanout_legs.load()) /
                        static_cast<double>(queries.size());
   result.pruned_legs = pruned_legs.load();
+  return result;
+}
+
+// Serve, plus the simulated tier throughput and hot-shard share.
+WorkloadResult ServeWorkload(serving::ShardedDatabase& sharded,
+                             const std::vector<DistanceFirstQuery>& queries,
+                             const RunConfig& config,
+                             const DatabaseOptions& options,
+                             const char* name) {
+  WorkloadResult result = Serve(sharded, queries, config, name);
 
   // Simulated tier throughput: replay the workload through Explain to get
   // per-shard legs, price each executed leg's demand I/O (cache-invariant)
@@ -184,8 +204,8 @@ WorkloadResult ServeWorkload(serving::ShardedDatabase& sharded,
 
 void WriteJson(const RunConfig& config, size_t num_objects,
                const std::vector<WorkloadResult>& results, bool scales,
-               bool zipf_p99_ok, bool pruned_on_skewed,
-               uint64_t total_mismatches) {
+               bool zipf_p99_ok, double p99_one, double p99_max,
+               bool pruned_on_skewed, uint64_t total_mismatches) {
   FILE* f = std::fopen("BENCH_shards.json", "w");
   IR2_CHECK(f != nullptr);
   std::fprintf(f, "{\n");
@@ -219,6 +239,9 @@ void WriteJson(const RunConfig& config, size_t num_objects,
                scales ? "true" : "false");
   std::fprintf(f, "    \"zipf_p99_no_worse_than_single_shard\": %s,\n",
                zipf_p99_ok ? "true" : "false");
+  std::fprintf(f, "    \"zipf_p99_repeats\": %d,\n", kP99Repeats);
+  std::fprintf(f, "    \"zipf_p99_median_first_ms\": %.4f,\n", p99_one);
+  std::fprintf(f, "    \"zipf_p99_median_last_ms\": %.4f,\n", p99_max);
   std::fprintf(f, "    \"pruned_fanouts_on_skewed\": %s,\n",
                pruned_on_skewed ? "true" : "false");
   std::fprintf(f, "    \"pass\": %s\n",
@@ -284,6 +307,8 @@ int Main(int argc, char** argv) {
 
   std::vector<WorkloadResult> results;
   uint64_t total_mismatches = 0;
+  // The first and last shard counts' tiers stay up for the p99 repeats.
+  std::unique_ptr<serving::ShardedDatabase> first_tier, last_tier;
   for (uint64_t shards : config.shard_counts) {
     serving::ShardingOptions sharding;
     sharding.num_shards = shards;
@@ -308,7 +333,24 @@ int Main(int argc, char** argv) {
     results.push_back(u);
     results.push_back(ServeWorkload(*sharded.value(), zipf_hot, config,
                                     options, "zipf_hot"));
+    if (shards == config.shard_counts.front()) {
+      first_tier = std::move(sharded).value();
+    } else if (shards == config.shard_counts.back()) {
+      last_tier = std::move(sharded).value();
+    }
   }
+
+  // The p99 verdict compares medians of alternated repeats at the first
+  // and last shard counts: one run's p99 is a handful of queries, and a
+  // single pair of them misses the 10% bound at random.
+  std::vector<double> p99_first, p99_last;
+  for (int r = 0; r < kP99Repeats; ++r) {
+    p99_first.push_back(
+        Serve(*first_tier, zipf_hot, config, "zipf_hot").p99_ms);
+    p99_last.push_back(Serve(*last_tier, zipf_hot, config, "zipf_hot").p99_ms);
+  }
+  const double p99_one = Median(p99_first);
+  const double p99_max = Median(p99_last);
 
   // Figure tables: one row per workload, one column per shard count.
   std::vector<std::string> x_names;
@@ -355,31 +397,27 @@ int Main(int argc, char** argv) {
   // the shard count on uniform traffic, hot-region p99 must stay no worse
   // than single-shard p99, and the pruner must actually fire on the skew.
   double sim_one_uniform = 0, sim_max_uniform = 0;
-  double p99_one = 0, p99_max = 0;
   uint64_t pruned_max_skewed = 0;
   for (const WorkloadResult& r : results) {
     if (r.workload == "uniform") {
       if (r.shards == config.shard_counts.front()) sim_one_uniform = r.sim_qps;
       if (r.shards == config.shard_counts.back()) sim_max_uniform = r.sim_qps;
-    } else {
-      if (r.shards == config.shard_counts.front()) p99_one = r.p99_ms;
-      if (r.shards == config.shard_counts.back()) {
-        p99_max = r.p99_ms;
-        pruned_max_skewed = r.pruned_legs;
-      }
+    } else if (r.shards == config.shard_counts.back()) {
+      pruned_max_skewed = r.pruned_legs;
     }
   }
   const bool scales = sim_max_uniform > sim_one_uniform;
   const bool zipf_p99_ok = p99_max <= p99_one * 1.10;
   const bool pruned_on_skewed = pruned_max_skewed > 0;
   std::printf("\nacceptance: mismatches=%llu scales=%s zipf_p99_ok=%s "
-              "pruned_on_skewed=%s\n",
+              "(median of %d: %.4f vs %.4f ms) pruned_on_skewed=%s\n",
               static_cast<unsigned long long>(total_mismatches),
               scales ? "PASS" : "FAIL", zipf_p99_ok ? "PASS" : "FAIL",
+              kP99Repeats, p99_max, p99_one,
               pruned_on_skewed ? "PASS" : "FAIL");
 
-  WriteJson(config, objects.size(), results, scales, zipf_p99_ok,
-            pruned_on_skewed, total_mismatches);
+  WriteJson(config, objects.size(), results, scales, zipf_p99_ok, p99_one,
+            p99_max, pruned_on_skewed, total_mismatches);
   return 0;
 }
 

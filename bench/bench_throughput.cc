@@ -1,5 +1,6 @@
 // Concurrent query throughput (queries/second) of the BatchExecutor over
-// one shared read-only IR2-/MIR2-Tree, at 1, 2, 4 and 8 worker threads.
+// one shared read-only database, running IR2 and MIR2 (or one --algo) at
+// 1, 2, 4 and 8 worker threads.
 //
 // Two regimes (--regime=cold|warm, see docs/performance.md):
 //
@@ -53,13 +54,13 @@ struct RunConfig {
   // run's tail still connects.
   int admin_port = -1;
   int admin_hold_ms = 0;
-  // --algo=NAME: run one algorithm through the database-mode BatchExecutor
-  // (auto plans per query) instead of the IR2/MIR2 tree-mode pair.
+  // --algo=NAME: run one algorithm (auto plans per query) instead of the
+  // IR2/MIR2 pair.
   bool has_algo = false;
   Algo algo = Algo::kAuto;
   // --device=file: Save the built database to a real directory and re-Open
-  // it on FileBlockDevices (O_DIRECT requested, async backends wired), so
-  // every physical block read below actually hits the filesystem. The
+  // it on FileBlockDevices (O_DIRECT requested), so every physical block
+  // read below actually hits the filesystem. The
   // simulated-time accounting is medium-independent (the cold-regime
   // regression pins that), so this mode puts real wall-clock next to the
   // simulated disk milliseconds the figures report.
@@ -82,7 +83,7 @@ struct TreeSeries {
   const char* tree = nullptr;
   std::vector<ThroughputPoint> points;
   size_t profile_mismatches = 0;
-  double serial_mean_ms = 0;      // db.QueryXxx loop, the seed's code path.
+  double serial_mean_ms = 0;      // db.Query loop on the shared pools.
   double batch1_mean_ms = 0;      // BatchExecutor at one thread.
 };
 
@@ -93,91 +94,15 @@ bool SameProfile(const QueryStats& a, const QueryStats& b) {
          a.entries_pruned == b.entries_pruned && a.io == b.io;
 }
 
-TreeSeries RunTree(SpatialKeywordDatabase& db, Algo algo,
-                   const std::vector<DistanceFirstQuery>& queries,
-                   const RunConfig& config,
-                   const std::vector<size_t>& thread_counts) {
-  TreeSeries series;
-  series.tree = AlgoName(algo);
-  Ir2Tree* tree = algo == Algo::kMir2
-                      ? static_cast<Ir2Tree*>(db.mir2_tree())
-                      : db.ir2_tree();
-
-  // Serial reference on the database's own (shared-pool) path, so the
-  // refactor's single-thread latency is visible next to the batch numbers.
-  AlgoResult serial = RunWorkload(db, algo, queries);
-  series.serial_mean_ms = serial.ms;
-
-  // Warm regime: decoded-node cache on the tree, inner levels pinned.
-  NodeCacheOptions cache_options;
-  cache_options.pin_min_level = 1;
-  NodeCache node_cache(cache_options);
-  if (config.warm) {
-    tree->SetNodeCache(&node_cache);
-  }
-
-  BatchExecutorOptions options;
-  options.cold_queries = !config.warm;
-  std::vector<QueryStats> reference;
-  for (size_t threads : thread_counts) {
-    options.num_threads = threads;
-    BatchExecutor executor(tree, &db.object_store(), &db.tokenizer(),
-                           options);
-    if (config.warm) {
-      node_cache.Clear();  // Each thread point warms up from empty.
-    }
-    Stopwatch watch;
-    StatusOr<BatchResults> batch = executor.Run(queries);
-    const double elapsed = watch.ElapsedSeconds();
-    IR2_CHECK(batch.ok()) << batch.status().ToString();
-
-    ThroughputPoint point;
-    point.threads = threads;
-    point.seconds = elapsed;
-    point.qps = static_cast<double>(queries.size()) / elapsed;
-    LatencyHistogram latencies;
-    // Modeled disk time is recomputed here from each query's I/O counters
-    // (tree-mode executors don't price I/O themselves); the counters are
-    // pinned medium-independent, so this number is the same whether the
-    // blocks came from memory or a real file — which is exactly what makes
-    // it worth printing next to the wall-clock in --device=file runs.
-    const DiskModel disk_model(db.options().disk_model);
-    for (const QueryStats& stats : batch->per_query) {
-      latencies.Record(stats.seconds * 1000.0);
-      point.sim_disk_ms += disk_model.Ms(stats.io);
-    }
-    point.p50_ms = latencies.P50();
-    point.p95_ms = latencies.P95();
-    point.pool = batch->pool_stats;
-    point.cache = node_cache.Stats();
-    if (threads == thread_counts.front()) {
-      reference = batch->per_query;
-      series.batch1_mean_ms =
-          batch->Aggregate().seconds * 1000.0 / queries.size();
-    } else if (!config.warm) {
-      for (size_t i = 0; i < queries.size(); ++i) {
-        if (!SameProfile(reference[i], batch->per_query[i])) {
-          ++series.profile_mismatches;
-        }
-      }
-    }
-    point.speedup = series.points.empty()
-                        ? 1.0
-                        : series.points.front().seconds / elapsed;
-    series.points.push_back(point);
-  }
-  if (config.warm) {
-    tree->SetNodeCache(nullptr);
-  }
-  return series;
-}
-
-// Database-mode variant of RunTree: the executor plans/dispatches per query
-// via the database, so any Algorithm — including kAuto — can be batched.
-TreeSeries RunDatabaseSeries(SpatialKeywordDatabase& db, Algo algo,
-                             const std::vector<DistanceFirstQuery>& queries,
-                             const RunConfig& config,
-                             const std::vector<size_t>& thread_counts) {
+// One algorithm's series: the BatchExecutor runs `algo` (kAuto plans per
+// query) at every thread count. A non-null `cached_tree` carries a
+// decoded-node cache (inner levels pinned) for the series, emptied before
+// each thread point so every point warms up from scratch.
+TreeSeries RunSeries(SpatialKeywordDatabase& db, Algo algo,
+                     const std::vector<DistanceFirstQuery>& queries,
+                     const RunConfig& config,
+                     const std::vector<size_t>& thread_counts,
+                     RTreeBase* cached_tree) {
   TreeSeries series;
   series.tree = AlgoName(algo);
 
@@ -185,8 +110,17 @@ TreeSeries RunDatabaseSeries(SpatialKeywordDatabase& db, Algo algo,
   // thread point, below) from the static model so every point makes the
   // same decisions and the determinism check stays meaningful.
   if (algo == Algo::kAuto) db.planner()->feedback().Reset();
+  // Serial reference on the database's own (shared-pool) path, so the
+  // single-thread latency is visible next to the batch numbers.
   AlgoResult serial = RunWorkload(db, algo, queries);
   series.serial_mean_ms = serial.ms;
+
+  NodeCacheOptions cache_options;
+  cache_options.pin_min_level = 1;
+  NodeCache cache(cache_options);
+  if (cached_tree != nullptr) {
+    cached_tree->SetNodeCache(&cache);
+  }
 
   BatchExecutorOptions options;
   options.cold_queries = !config.warm;
@@ -195,6 +129,7 @@ TreeSeries RunDatabaseSeries(SpatialKeywordDatabase& db, Algo algo,
   for (size_t threads : thread_counts) {
     options.num_threads = threads;
     if (algo == Algo::kAuto) db.planner()->feedback().Reset();
+    cache.Clear();
     BatchExecutor executor(&db, options);
     Stopwatch watch;
     StatusOr<BatchResults> batch = executor.Run(queries);
@@ -206,8 +141,7 @@ TreeSeries RunDatabaseSeries(SpatialKeywordDatabase& db, Algo algo,
     point.seconds = elapsed;
     point.qps = static_cast<double>(queries.size()) / elapsed;
     LatencyHistogram latencies;
-    // Modeled disk time is recomputed here from each query's I/O counters
-    // (tree-mode executors don't price I/O themselves); the counters are
+    // Modeled disk time from each query's I/O counters; the counters are
     // pinned medium-independent, so this number is the same whether the
     // blocks came from memory or a real file — which is exactly what makes
     // it worth printing next to the wall-clock in --device=file runs.
@@ -219,6 +153,7 @@ TreeSeries RunDatabaseSeries(SpatialKeywordDatabase& db, Algo algo,
     point.p50_ms = latencies.P50();
     point.p95_ms = latencies.P95();
     point.pool = batch->pool_stats;
+    point.cache = cache.Stats();
     if (threads == thread_counts.front()) {
       reference = batch->per_query;
       series.batch1_mean_ms =
@@ -234,6 +169,9 @@ TreeSeries RunDatabaseSeries(SpatialKeywordDatabase& db, Algo algo,
                         ? 1.0
                         : series.points.front().seconds / elapsed;
     series.points.push_back(point);
+  }
+  if (cached_tree != nullptr) {
+    cached_tree->SetNodeCache(nullptr);
   }
   return series;
 }
@@ -329,9 +267,8 @@ void Main(const RunConfig& config) {
   if (config.file_device) {
     // Save the freshly built database and re-open it over real files, so
     // every physical block read below goes through FileBlockDevice
-    // (O_DIRECT when the filesystem allows it) and the async prefetch
-    // backends. Structure comes from the manifest; runtime knobs are the
-    // build options plus the on-disk extras.
+    // (O_DIRECT when the filesystem allows it). Structure comes from the
+    // manifest; runtime knobs are the build options plus O_DIRECT.
     const std::string dir =
         (std::filesystem::temp_directory_path() / "ir2db_bench_throughput")
             .string();
@@ -340,7 +277,6 @@ void Main(const RunConfig& config) {
     IR2_CHECK(saved.ok()) << saved.ToString();
     DatabaseOptions runtime = options;
     runtime.file_device.direct_io = true;
-    runtime.async_io_threads = 2;
     StatusOr<std::unique_ptr<SpatialKeywordDatabase>> reopened =
         SpatialKeywordDatabase::Open(dir, runtime);
     IR2_CHECK(reopened.ok()) << reopened.status().ToString();
@@ -360,15 +296,18 @@ void Main(const RunConfig& config) {
       config.smoke ? std::vector<size_t>{1, 2}
                    : std::vector<size_t>{1, 2, 4, 8};
 
+  // The default IR2/MIR2 pair is the warm-path figure: in the warm regime
+  // each tree carries a NodeCache. --algo runs the database as configured.
+  SpatialKeywordDatabase& db = *dataset.db;
   std::vector<TreeSeries> trees;
   if (config.has_algo) {
-    trees.push_back(RunDatabaseSeries(*dataset.db, config.algo, queries,
-                                      config, thread_counts));
+    trees.push_back(RunSeries(db, config.algo, queries, config,
+                              thread_counts, /*cached_tree=*/nullptr));
   } else {
-    trees.push_back(
-        RunTree(*dataset.db, Algo::kIr2, queries, config, thread_counts));
-    trees.push_back(
-        RunTree(*dataset.db, Algo::kMir2, queries, config, thread_counts));
+    trees.push_back(RunSeries(db, Algo::kIr2, queries, config, thread_counts,
+                              config.warm ? db.ir2_tree() : nullptr));
+    trees.push_back(RunSeries(db, Algo::kMir2, queries, config, thread_counts,
+                              config.warm ? db.mir2_tree() : nullptr));
   }
 
   std::vector<std::string> x_names;

@@ -243,22 +243,22 @@ if [ "${IR2_CHECK_FULL:-0}" = "1" ]; then
 else
   # The suites that exercise the concurrent machinery (sharded pool,
   # decoded-node cache, per-thread I/O accounting, BatchExecutor, the
-  # prefetch scheduler's worker thread, the async I/O backend's
-  # submit/reap ring under demand+prefetch races, the sharded
+  # prefetch scheduler's worker thread, including an asynchronous
+  # scheduler racing demand reads on an O_DIRECT file, the sharded
   # metrics/tracer hammers, the planner's lock-free feedback under
-  # database-mode batches, the serving tier's admission queue +
+  # kAuto batches, the serving tier's admission queue +
   # concurrent scatter-gather workers, and the striped result cache's
   # lookup/fill/evict races, and the prefetching cold-regime suites, whose
   # run reads hold several pool shard locks at once) — the rest of the
   # suite is single-threaded and covered by the Release run.
   cmake --build build-tsan -j "$jobs" --target \
     concurrency_test batch_executor_test node_cache_test storage_test \
-    io_scheduler_test file_device_async_test obs_test planner_test \
+    io_scheduler_test file_device_test obs_test planner_test \
     server_loop_test sharded_database_test kc_tree_test telemetry_test \
     admin_server_test result_cache_test prefetch_invariance_test \
     cold_regime_regression_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'concurrency_test|batch_executor_test|node_cache_test|storage_test|io_scheduler_test|file_device_async_test|obs_test|planner_test|server_loop_test|sharded_database_test|kc_tree_test|telemetry_test|admin_server_test|result_cache_test|prefetch_invariance_test|cold_regime_regression_test'
+    -R 'concurrency_test|batch_executor_test|node_cache_test|storage_test|io_scheduler_test|file_device_test|obs_test|planner_test|server_loop_test|sharded_database_test|kc_tree_test|telemetry_test|admin_server_test|result_cache_test|prefetch_invariance_test|cold_regime_regression_test'
 fi
 
 echo
@@ -292,12 +292,12 @@ if [ "${IR2_CHECK_ASAN:-0}" = "1" ]; then
   cmake --build build-asan -j "$jobs" --target \
     node_cache_test cold_regime_regression_test ir2_tree_test \
     mir2_tree_test rtree_test algorithms_test simd_test \
-    file_device_async_test storage_test io_scheduler_test
+    file_device_test storage_test io_scheduler_test
   # Both SIMD ways here too: the dispatched kernels read signature and
   # posting buffers in wide chunks, exactly where an out-of-bounds read
   # would hide from the scalar tier.
   ctest --test-dir build-asan --output-on-failure \
-    -R 'node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_async_test|storage_test|io_scheduler_test'
+    -R 'node_cache_test|cold_regime_regression_test|ir2_tree_test|rtree_test|algorithms_test|simd_test|file_device_test|storage_test|io_scheduler_test'
   IR2_DISABLE_SIMD=1 ctest --test-dir build-asan --output-on-failure \
     -R 'cold_regime_regression_test|simd_test'
 fi

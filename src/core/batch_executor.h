@@ -6,13 +6,10 @@
 #include <vector>
 
 #include "common/status_or.h"
-#include "core/ir2_tree.h"
 #include "core/ir2_search.h"
 #include "core/planner.h"
 #include "core/query.h"
 #include "storage/buffer_pool.h"
-#include "storage/object_store.h"
-#include "text/tokenizer.h"
 
 namespace ir2 {
 
@@ -34,12 +31,12 @@ struct BatchExecutorOptions {
   // DatabaseOptions::pool_blocks so batch and serial runs cache alike.
   size_t pool_blocks = 1 << 16;
 
-  // Algorithm executed by the database-mode constructor (ignored in tree
-  // mode). kAuto plans per query: workers read corrections from the
-  // planner's feedback — effectively frozen for the batch, keeping
-  // decisions independent of thread count and arrival order — and record
-  // outcomes into worker-private PlannerFeedback instances merged into the
-  // planner once on drain, exactly like the private metrics registries.
+  // Algorithm every query runs with. kAuto plans per query: workers read
+  // corrections from the planner's feedback — effectively frozen for the
+  // batch, keeping decisions independent of thread count and arrival
+  // order — and record outcomes into worker-private PlannerFeedback
+  // instances merged into the planner once on drain, exactly like the
+  // private metrics registries.
   Algorithm algorithm = Algorithm::kAuto;
 };
 
@@ -59,14 +56,19 @@ struct BatchResults {
   QueryStats Aggregate() const;
 };
 
-// Runs a batch of distance-first queries against one IR2-Tree (or
-// MIR2-Tree) with a fixed pool of worker threads.
+// Runs a batch of distance-first queries over a SpatialKeywordDatabase with
+// a fixed pool of worker threads, each query executed by options.algorithm
+// (kAuto: planned per query by the database's planner) through the
+// database's own dispatch, SpatialKeywordDatabase::Execute.
 //
-// The tree, object store and tokenizer are shared read-only. Each worker
-// opens a *private* BufferPool on the tree's device and routes its node
-// reads through it with a ScopedReadPool, so workers never contend on a
-// shared cache and — with cold_queries — every query sees exactly the cache
-// state a serial cold run would give it. Per-query I/O is attributed
+// The database's structures are shared read-only. Each worker opens a
+// *private* BufferPool over every tree's device and routes its node reads
+// through it with a ScopedReadPool, so workers never contend on a shared
+// node cache and — with cold_queries — every query sees exactly the cache
+// state a serial cold run would give it. Object and posting reads go
+// through the database's bypass pools, which is why Run requires
+// db->options().prefetch == false (a shared caching pool would break
+// per-query cold isolation across workers). Per-query I/O is attributed
 // through the devices' per-thread counters (BlockDevice::thread_stats), so
 // concurrent workers never bleed into each other's IoStats.
 //
@@ -75,33 +77,17 @@ struct BatchResults {
 // aborts the batch and is returned.
 class BatchExecutor {
  public:
-  // All pointees must outlive the executor. Pass a Mir2Tree as `tree` to
-  // batch over the multilevel variant (Ir2TopK is polymorphic over both).
-  BatchExecutor(const Ir2Tree* tree, const ObjectStore* objects,
-                const Tokenizer* tokenizer, BatchExecutorOptions options = {});
-
-  // Database mode: runs options.algorithm (kAuto by default, planned per
-  // query by db->planner()) over every structure the database holds.
-  // Workers open private pools over each tree's device (ScopedReadPool) so
-  // node reads never contend; object and posting reads go through the
-  // database's bypass pools, which is why this mode requires
-  // db->options().prefetch == false (a shared caching pool would break
-  // per-query cold isolation across workers). `db` must outlive the
-  // executor; its planner receives the merged feedback after Run.
-  BatchExecutor(SpatialKeywordDatabase* db, BatchExecutorOptions options = {});
+  // `db` must outlive the executor; under kAuto its planner receives the
+  // workers' merged feedback after Run.
+  explicit BatchExecutor(SpatialKeywordDatabase* db,
+                         BatchExecutorOptions options = {});
 
   StatusOr<BatchResults> Run(std::span<const DistanceFirstQuery> queries) const;
 
   const BatchExecutorOptions& options() const { return options_; }
 
  private:
-  StatusOr<BatchResults> RunDatabase(
-      std::span<const DistanceFirstQuery> queries) const;
-
-  const Ir2Tree* tree_ = nullptr;
-  const ObjectStore* objects_ = nullptr;
-  const Tokenizer* tokenizer_ = nullptr;
-  SpatialKeywordDatabase* db_ = nullptr;
+  SpatialKeywordDatabase* db_;
   BatchExecutorOptions options_;
 };
 

@@ -379,21 +379,10 @@ Status SpatialKeywordDatabase::WirePlanner() {
 }
 
 void SpatialKeywordDatabase::WireIoEngine() {
-  // Schedulers may hold pointers into async_backends_; tear them down first
-  // if this is ever re-run.
-  for (auto& scheduler : schedulers_) scheduler.reset();
-  async_backends_.clear();
   for (size_t s = 0; s < kNumStructures; ++s) {
     BufferPool* pool = io_[s].pool.get();
     if (pool == nullptr) continue;
     schedulers_[s] = std::make_unique<IoScheduler>(pool, options_.scheduler);
-    if (options_.async_io_threads > 0) {
-      AsyncIoOptions async_options;
-      async_options.num_threads = options_.async_io_threads;
-      async_backends_.push_back(
-          std::make_unique<AsyncIoBackend>(pool, async_options));
-      schedulers_[s]->SetAsyncBackend(async_backends_.back().get());
-    }
   }
   if (iio_ != nullptr && schedulers_[kIio] != nullptr) {
     // Posting lists always stream through the scheduler's ReadRun path —
@@ -1212,7 +1201,6 @@ StatusOr<std::unique_ptr<SpatialKeywordDatabase>> SpatialKeywordDatabase::
     options.scheduler = runtime->scheduler;
     options.disk_model = runtime->disk_model;
     options.file_device = runtime->file_device;
-    options.async_io_threads = runtime->async_io_threads;
   }
   db->tokenizer_ = Tokenizer(options.stopwords);
 

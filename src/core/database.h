@@ -136,13 +136,6 @@ struct DatabaseOptions {
   // cache. Save() always writes buffered and ends with a Sync() barrier.
   FileBlockDeviceOptions file_device;
 
-  // When > 0, every IoScheduler drives its coalesced prefetch runs through
-  // a submission/completion AsyncIoBackend with this many worker threads
-  // (io_uring-shaped; storage/async_io.h), overlapping run reads against
-  // real files. 0 (default) keeps the deterministic single-worker inline
-  // path the golden tests pin.
-  uint32_t async_io_threads = 0;
-
   // After an incremental (non-bulk) build, rewrite each tree with
   // CompactInto so every node's children occupy one contiguous DFS run —
   // the layout BulkLoad now produces natively — turning frontier
@@ -177,11 +170,11 @@ class SpatialKeywordDatabase {
       const std::string& directory);
 
   // As above, but runtime options — cold_queries, prefetch /
-  // prefetch_objects, scheduler, disk_model, file_device, async_io_threads,
-  // pool_blocks — are taken from `runtime` instead, so one saved directory
-  // can serve cold and warm regimes, O_DIRECT on or off, with or without
-  // async prefetch. Structural fields (signatures, tree geometry, which
-  // indexes exist) still come from the manifest.
+  // prefetch_objects, scheduler, disk_model, file_device, pool_blocks —
+  // are taken from `runtime` instead, so one saved directory can serve
+  // cold and warm regimes, O_DIRECT on or off, with or without prefetch.
+  // Structural fields (signatures, tree geometry, which indexes exist)
+  // still come from the manifest.
   static StatusOr<std::unique_ptr<SpatialKeywordDatabase>> Open(
       const std::string& directory, const DatabaseOptions& runtime);
 
@@ -337,10 +330,8 @@ class SpatialKeywordDatabase {
   static StatusOr<std::unique_ptr<SpatialKeywordDatabase>> OpenImpl(
       const std::string& directory, const DatabaseOptions* runtime);
 
-  // Creates the per-structure prefetch schedulers (plus, when
-  // async_io_threads > 0, an AsyncIoBackend per pool) over the existing
-  // pools and attaches the IIO streaming scheduler; shared tail of
-  // Build/Open.
+  // Creates the per-structure prefetch schedulers over the existing pools
+  // and attaches the IIO streaming scheduler; shared tail of Build/Open.
   void WireIoEngine();
 
   // Snapshots the planner's inputs (tree shapes via ComputeTreeStats —
@@ -409,11 +400,6 @@ class SpatialKeywordDatabase {
   std::unique_ptr<InvertedIndex> iio_;
   std::unique_ptr<IrScorer> scorer_;
   std::unique_ptr<QueryPlanner> planner_;
-
-  // Async read backends (one per pool when async_io_threads > 0). Declared
-  // before the schedulers so they are destroyed after them — a scheduler's
-  // worker may be blocked in Submit/Reap on its backend until it stops.
-  std::vector<std::unique_ptr<AsyncIoBackend>> async_backends_;
 
   // Schedulers last (indexed by Structure, null for structures not built):
   // destroyed first, so their worker threads stop touching the pools

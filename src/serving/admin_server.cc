@@ -2,9 +2,11 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -53,11 +55,31 @@ const char* StatusText(int status) {
   }
 }
 
+using Clock = std::chrono::steady_clock;
+
+// Longest one connection may hold the accept thread waiting on its peer:
+// reading the request head plus writing the response, in total. The
+// handler's own run time is not charged. Connections are served one at a
+// time, so an idle or trickling client must not stall /healthz for longer.
+constexpr std::chrono::milliseconds kConnectionDeadline{200};
+
+// Milliseconds left before `deadline`, 0 once it has passed.
+int RemainingMs(Clock::time_point deadline) {
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+      deadline - Clock::now());
+  return left.count() > 0 ? static_cast<int>(left.count()) : 0;
+}
+
 // Reads until the end of the request headers (we never accept bodies) or a
-// small cap; returns false on socket error/timeout before any data.
-bool ReadRequestHead(int fd, std::string* head) {
+// small cap. Returns false if the deadline passes first, or on a socket
+// error or EOF before any data.
+bool ReadRequestHead(int fd, Clock::time_point deadline, std::string* head) {
   char buf[1024];
   while (head->size() < 8192) {
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, RemainingMs(deadline));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) return false;
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) return !head->empty();
     head->append(buf, static_cast<size_t>(n));
@@ -69,9 +91,17 @@ bool ReadRequestHead(int fd, std::string* head) {
   return true;
 }
 
-void WriteAll(int fd, std::string_view data) {
+// Sends `data`, giving up at `deadline`: each send may block only for the
+// time that is left (SO_SNDTIMEO).
+void WriteAll(int fd, std::string_view data, Clock::time_point deadline) {
   size_t off = 0;
   while (off < data.size()) {
+    const int left_ms = RemainingMs(deadline);
+    if (left_ms == 0) return;
+    timeval timeout{};
+    timeout.tv_sec = left_ms / 1000;
+    timeout.tv_usec = (left_ms % 1000) * 1000;
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
                              MSG_NOSIGNAL);
     if (n <= 0) return;
@@ -144,11 +174,9 @@ void AdminServer::AcceptLoop(int listen_fd) {
   for (;;) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) return;  // Listen socket closed: shutting down.
-    timeval timeout{};
-    timeout.tv_sec = 5;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    Clock::time_point deadline = Clock::now() + kConnectionDeadline;
     std::string head;
-    if (!ReadRequestHead(fd, &head)) {
+    if (!ReadRequestHead(fd, deadline, &head)) {
       ::close(fd);
       continue;
     }
@@ -164,6 +192,7 @@ void AdminServer::AcceptLoop(int listen_fd) {
     const size_t query = path.find('?');
     if (query != std::string::npos) path.resize(query);
 
+    const Clock::time_point handler_start = Clock::now();
     HttpResponse response;
     if (method != "GET") {
       response.status = 405;
@@ -184,7 +213,8 @@ void AdminServer::AcceptLoop(int listen_fd) {
     out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
     out += "Connection: close\r\n\r\n";
     out += response.body;
-    WriteAll(fd, out);
+    deadline += Clock::now() - handler_start;
+    WriteAll(fd, out, deadline);
     ::close(fd);
   }
 }

@@ -8,6 +8,8 @@
 // /tracez (Chrome-trace JSON), /querylogz (JSON lines), /cachez (semantic
 // result-cache contents) — not to serve traffic: one connection is handled
 // at a time, responses close the connection, and anything but GET gets 405.
+// A connection gets 200 ms in total to send its request and take the
+// response, so a silent or trickling client cannot stall the next one.
 //
 // StatusSnapshot/RenderStatusJson split the /statusz payload from its data
 // sources so the JSON shape is pinned by a byte-exact golden over a

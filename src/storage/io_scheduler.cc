@@ -157,51 +157,28 @@ void IoScheduler::WorkerLoop() {
     lock.unlock();
 
     // Greedy coalescing: from the first id not yet in a run, the longest
-    // adjacent ascending run, capped at max_run_blocks.
-    std::vector<IoRequest> runs;
-    for (size_t i = 0; i < ids.size();) {
+    // adjacent ascending run, capped at max_run_blocks. This one thread
+    // reads the runs in ascending order with one device cursor, so a run
+    // that continues its predecessor counts as sequential.
+    const IoStats before = device->thread_stats();
+    size_t runs = 0;
+    Status error = Status::Ok();
+    for (size_t i = 0; i < ids.size(); ++runs) {
       size_t j = i + 1;
       while (j < ids.size() && ids[j] == ids[j - 1] + 1 &&
              j - i < options_.max_run_blocks) {
         ++j;
       }
-      runs.push_back(IoRequest{ids[i], static_cast<uint32_t>(j - i),
-                               /*user_data=*/runs.size()});
+      obs::TraceSpan span(obs::SpanKind::kPrefetchComplete, ids[i]);
+      Status s = pool_->ReadBlocks(ids[i], static_cast<uint32_t>(j - i));
+      if (!s.ok()) {
+        obs::DefaultMetrics().sched_read_errors->Add();
+        if (error.ok()) error = s;
+      }
       i = j;
     }
-    IoStats pass_io;
-    Status error = Status::Ok();
-    if (backend_ != nullptr) {
-      // Submission/completion path: hand each run to the async backend and
-      // reap. The backend's workers read through the same pool
-      // (exactly-once against racing demand traffic) and each completion
-      // carries the physical I/O its run performed on its worker thread.
-      for (const IoRequest& run : runs) backend_->Submit(run);
-      std::vector<IoCompletion> completions;
-      completions.reserve(runs.size());
-      while (completions.size() < runs.size()) {
-        backend_->Reap(&completions,
-                       /*min_completions=*/runs.size() - completions.size());
-      }
-      for (const IoCompletion& completion : completions) {
-        pass_io += completion.io;
-        if (!completion.status.ok() && error.ok()) {
-          error = completion.status;
-        }
-      }
-    } else {
-      const IoStats before = device->thread_stats();
-      for (const IoRequest& run : runs) {
-        obs::TraceSpan span(obs::SpanKind::kPrefetchComplete, run.first);
-        Status s = pool_->ReadBlocks(run.first, run.count);
-        if (!s.ok()) {
-          obs::DefaultMetrics().sched_read_errors->Add();
-          if (error.ok()) error = s;
-        }
-      }
-      pass_io = device->thread_stats() - before;
-    }
-    obs::DefaultMetrics().sched_runs->Add(runs.size());
+    const IoStats pass_io = device->thread_stats() - before;
+    obs::DefaultMetrics().sched_runs->Add(runs);
     obs::DefaultMetrics().sched_blocks_fetched->Add(ids.size());
     if (!error.ok()) {
       // Speculation failing is not a query error (demand reads will retry
@@ -212,7 +189,7 @@ void IoScheduler::WorkerLoop() {
 
     lock.lock();
     speculative_ += pass_io;
-    counters_.runs += runs.size();
+    counters_.runs += runs;
     counters_.blocks_fetched += ids.size();
     if (!error.ok() && last_error_.ok()) {
       last_error_ = error;

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "storage/async_io.h"
 #include "storage/buffer_pool.h"
 
 namespace ir2 {
@@ -110,17 +109,6 @@ class IoScheduler {
   // errors are recorded here for tests/diagnostics).
   Status last_error() const;
 
-  // Attaches a submission/completion backend (must wrap the same pool and
-  // outlive this scheduler): each scheduling pass submits its coalesced
-  // runs as async requests and reaps their completions, overlapping run
-  // reads across the backend's workers — the real-file fan-out path. Null
-  // (the default) keeps the single-worker inline reads, whose interleaving
-  // the deterministic tests and goldens pin. Call before any Prefetch
-  // traffic; dedup, accounting, and Drain semantics are identical either
-  // way.
-  void SetAsyncBackend(AsyncIoBackend* backend) { backend_ = backend; }
-  AsyncIoBackend* async_backend() const { return backend_; }
-
   BufferPool* pool() const { return pool_; }
 
  private:
@@ -133,7 +121,6 @@ class IoScheduler {
 
   BufferPool* pool_;
   IoSchedulerOptions options_;
-  AsyncIoBackend* backend_ = nullptr;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   // Worker waits for pending/stop.

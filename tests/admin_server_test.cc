@@ -1,5 +1,6 @@
 // AdminServer HTTP behavior over real loopback sockets: ephemeral-port
-// bind, routing, 404/405 handling, and Stop() idempotence.
+// bind, routing, 404/405 handling, Stop() idempotence, and the
+// per-connection deadline that keeps a stalled client from blocking others.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +9,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include "serving/admin_server.h"
 
@@ -17,19 +21,26 @@ namespace ir2 {
 namespace serving {
 namespace {
 
-// One blocking HTTP exchange against 127.0.0.1:`port`; returns the full
-// response (status line + headers + body) or "" on connect failure.
-std::string HttpGet(int port, const std::string& request_line) {
+// A socket connected to 127.0.0.1:`port`, or -1.
+int Connect(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+// One blocking HTTP exchange against 127.0.0.1:`port`; returns the full
+// response (status line + headers + body) or "" on connect failure.
+std::string HttpGet(int port, const std::string& request_line) {
+  const int fd = Connect(port);
+  if (fd < 0) return "";
   const std::string request = request_line + "\r\nHost: localhost\r\n\r\n";
   size_t sent = 0;
   while (sent < request.size()) {
@@ -131,6 +142,45 @@ TEST(AdminServerTest, StopIsIdempotentAndDestructorStops) {
   // Socket is gone: a fresh connect must fail.
   EXPECT_EQ(HttpGet(port, "GET /healthz HTTP/1.1"), "");
   admin.reset();  // Destructor after explicit Stop: still fine.
+}
+
+// Connections are served one at a time, so each gets a short total
+// deadline: a client that connects and stays silent, and one that trickles
+// its request a byte at a time, are each dropped once it passes, and a
+// /healthz probe queued behind both still answers well within a second.
+TEST(AdminServerTest, StalledClientsDoNotBlockHealthz) {
+  AdminServer admin;
+  admin.Handle("/healthz", [](const std::string&) {
+    HttpResponse response;
+    response.body = "ok\n";
+    return response;
+  });
+  ASSERT_TRUE(admin.Start().ok());
+
+  const int silent = Connect(admin.port());
+  ASSERT_GE(silent, 0);
+  const int trickler = Connect(admin.port());
+  ASSERT_GE(trickler, 0);
+  std::atomic<bool> stop{false};
+  std::thread trickle([trickler, &stop] {
+    const std::string request = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+    for (size_t i = 0; i < request.size() && !stop; ++i) {
+      if (::send(trickler, &request[i], 1, MSG_NOSIGNAL) != 1) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+  });
+
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = HttpGet(admin.port(), "GET /healthz HTTP/1.1");
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  stop = true;
+  trickle.join();
+  ::close(trickler);
+  ::close(silent);
+  EXPECT_EQ(BodyOf(response), "ok\n");
+  EXPECT_LT(elapsed_ms, 750.0);
 }
 
 TEST(AdminServerTest, PortAlreadyTakenFailsStart) {

@@ -400,18 +400,11 @@ IoStats Reads(uint64_t random, uint64_t sequential) {
 }
 
 // The prefetching engine on real files: the fixture saved and re-Opened
-// with O_DIRECT requested, cold queries and a synchronous scheduler, once
-// with the inline prefetch pass (0 async threads) and once with the
-// submission/completion backend (2 threads). Every answer must equal the
-// brute-force top-k, and every algorithm's workload totals are pinned. How
-// a coalesced run reaches the device (one request per block or one per
-// run) may change wall-clock time, but none of these numbers.
-//
-// With 2 backend threads, which worker takes which run is a race, and a
-// run that starts right after a block its worker read last is a sequential
-// read — so there only the physical and demand profiles and the number of
-// speculative reads are fixed, not the speculative random/sequential split
-// (nor the simulated time priced from it).
+// with O_DIRECT requested, cold queries and a synchronous scheduler. Every
+// answer must equal the brute-force top-k, and every algorithm's workload
+// totals are pinned. How a coalesced run reaches the device (one request
+// per block or one per run) may change wall-clock time, but none of these
+// numbers.
 TEST_F(ColdRegimeRegressionTest, FilePrefetchMatchesGoldens) {
   const std::string directory =
       ::testing::TempDir() + "/ir2db_cold_regime_file_prefetch";
@@ -432,51 +425,41 @@ TEST_F(ColdRegimeRegressionTest, FilePrefetchMatchesGoldens) {
       {Algorithm::kAuto, Reads(32, 23), Reads(232, 140), Reads(32, 238),
        511.288889},
   };
-  for (uint32_t async_threads : {0u, 2u}) {
-    DatabaseOptions runtime;
-    runtime.cold_queries = true;
-    runtime.prefetch = true;
-    runtime.scheduler.synchronous = true;
-    runtime.file_device.direct_io = true;
-    runtime.async_io_threads = async_threads;
-    auto reopened = SpatialKeywordDatabase::Open(directory, runtime);
-    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-    SpatialKeywordDatabase& file_db = *reopened.value();
-    for (const PrefetchGolden& golden : goldens) {
-      const std::string label = std::string(AlgorithmName(golden.algo)) +
-                                " async_io_threads=" +
-                                std::to_string(async_threads);
-      QueryStats stats;
-      for (const DistanceFirstQuery& query : queries_) {
-        auto results = file_db.Query(query, golden.algo, &stats);
-        ASSERT_TRUE(results.ok()) << label << results.status().ToString();
-        EXPECT_EQ(testing_util::ResultIds(results.value()),
-                  testing_util::BruteForceDistanceFirst(
-                      objects_, query.point, query.keywords, query.k))
-            << label;
-      }
-      EXPECT_EQ(stats.io, golden.io) << label;
-      EXPECT_EQ(stats.demand_io, golden.demand_io) << label;
-      EXPECT_EQ(stats.speculative_io.TotalReads(),
-                golden.speculative_io.TotalReads())
+  DatabaseOptions runtime;
+  runtime.cold_queries = true;
+  runtime.prefetch = true;
+  runtime.scheduler.synchronous = true;
+  runtime.file_device.direct_io = true;
+  auto reopened = SpatialKeywordDatabase::Open(directory, runtime);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  SpatialKeywordDatabase& file_db = *reopened.value();
+  for (const PrefetchGolden& golden : goldens) {
+    const std::string label = AlgorithmName(golden.algo);
+    QueryStats stats;
+    for (const DistanceFirstQuery& query : queries_) {
+      auto results = file_db.Query(query, golden.algo, &stats);
+      ASSERT_TRUE(results.ok()) << label << results.status().ToString();
+      EXPECT_EQ(testing_util::ResultIds(results.value()),
+                testing_util::BruteForceDistanceFirst(
+                    objects_, query.point, query.keywords, query.k))
           << label;
-      if (async_threads == 0) {
-        EXPECT_EQ(stats.speculative_io, golden.speculative_io) << label;
-        EXPECT_NEAR(stats.simulated_disk_ms, golden.simulated_disk_ms, 1e-5)
-            << label;
-      }
     }
-    // This fixture's object file is small enough that one sweep prices
-    // below the expected verification seeks, so an IR2 query prefetches
-    // the whole file through the object scheduler.
-    IoScheduler* objects = file_db.object_scheduler();
-    ASSERT_NE(objects, nullptr);
-    objects->ResetStats();
-    ASSERT_TRUE(file_db.Query(queries_[0], Algorithm::kIr2, nullptr).ok());
-    const uint64_t object_blocks = file_db.object_store().device()->NumBlocks();
-    EXPECT_EQ(object_blocks, 11u);
-    EXPECT_EQ(objects->stats().blocks_fetched, object_blocks);
+    EXPECT_EQ(stats.io, golden.io) << label;
+    EXPECT_EQ(stats.demand_io, golden.demand_io) << label;
+    EXPECT_EQ(stats.speculative_io, golden.speculative_io) << label;
+    EXPECT_NEAR(stats.simulated_disk_ms, golden.simulated_disk_ms, 1e-5)
+        << label;
   }
+  // This fixture's object file is small enough that one sweep prices
+  // below the expected verification seeks, so an IR2 query prefetches
+  // the whole file through the object scheduler.
+  IoScheduler* objects = file_db.object_scheduler();
+  ASSERT_NE(objects, nullptr);
+  objects->ResetStats();
+  ASSERT_TRUE(file_db.Query(queries_[0], Algorithm::kIr2, nullptr).ok());
+  const uint64_t object_blocks = file_db.object_store().device()->NumBlocks();
+  EXPECT_EQ(object_blocks, 11u);
+  EXPECT_EQ(objects->stats().blocks_fetched, object_blocks);
   std::filesystem::remove_all(directory);
 }
 

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,9 +12,9 @@
 #include "core/batch_executor.h"
 #include "core/database.h"
 #include "datagen/workload.h"
-#include "storage/async_io.h"
 #include "storage/block_device.h"
 #include "storage/buffer_pool.h"
+#include "storage/io_scheduler.h"
 #include "tests/test_util.h"
 
 namespace ir2 {
@@ -24,10 +23,10 @@ namespace {
 using testing_util::RandomObjects;
 using testing_util::ResultIds;
 
-class FileDeviceAsyncTest : public ::testing::Test {
+class FileDeviceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    directory_ = ::testing::TempDir() + "/ir2db_file_async_test";
+    directory_ = ::testing::TempDir() + "/ir2db_file_device_test";
     std::filesystem::remove_all(directory_);
     std::filesystem::create_directories(directory_);
   }
@@ -50,7 +49,7 @@ std::vector<uint8_t> PatternBlock(size_t block_size, uint32_t salt) {
 // Satellite: Create, Allocate, and a later Open must agree on the file
 // size — Allocate ftruncates to the allocated extent, so NumBlocks survives
 // the close/reopen boundary even if no write ever touched the last block.
-TEST_F(FileDeviceAsyncTest, CreateAllocateOpenAgreeOnSize) {
+TEST_F(FileDeviceTest, CreateAllocateOpenAgreeOnSize) {
   const std::string path = Path("size.dat");
   {
     auto device = FileBlockDevice::Create(path, 512).value();
@@ -85,7 +84,7 @@ TEST_F(FileDeviceAsyncTest, CreateAllocateOpenAgreeOnSize) {
 // (tmpfs under TempDir typically does) the device falls back to buffered
 // I/O and everything still works; when it is granted, reads round-trip the
 // same bytes through the aligned bounce path.
-TEST_F(FileDeviceAsyncTest, DirectIoRequestedFallsBackGracefully) {
+TEST_F(FileDeviceTest, DirectIoRequestedFallsBackGracefully) {
   const std::string path = Path("direct.dat");
   FileBlockDeviceOptions options;
   options.direct_io = true;
@@ -115,7 +114,7 @@ TEST_F(FileDeviceAsyncTest, DirectIoRequestedFallsBackGracefully) {
 // Write-barrier consistency: everything written before Sync() must be
 // visible to a fresh Open through a different descriptor — the crash model
 // our Save() durability story relies on.
-TEST_F(FileDeviceAsyncTest, SyncBarrierThenReopenSeesAllWrites) {
+TEST_F(FileDeviceTest, SyncBarrierThenReopenSeesAllWrites) {
   const std::string path = Path("barrier.dat");
   auto device = FileBlockDevice::Create(path, 1024).value();
   ASSERT_TRUE(device->Allocate(16).ok());
@@ -135,126 +134,129 @@ TEST_F(FileDeviceAsyncTest, SyncBarrierThenReopenSeesAllWrites) {
   }
 }
 
-// Exactly-once completions: every submitted request produces exactly one
-// completion with its user_data, and a block prefetched by the backend is
-// never physically read twice — the racing demand read finds it resident.
-TEST_F(FileDeviceAsyncTest, AsyncBackendCompletesEachRequestExactlyOnce) {
-  const std::string path = Path("async.dat");
-  constexpr uint32_t kBlocks = 64;
-  auto device = FileBlockDevice::Create(path, 512).value();
-  ASSERT_TRUE(device->Allocate(kBlocks).ok());
-  for (uint32_t i = 0; i < kBlocks; ++i) {
-    ASSERT_TRUE(device->Write(i, PatternBlock(512, i)).ok());
-  }
-  BufferPool pool(device.get(), /*capacity_blocks=*/kBlocks);
+constexpr size_t kDirectBlockSize = 4096;
 
-  AsyncIoOptions options;
-  options.num_threads = 4;
-  options.queue_depth = 8;  // Smaller than the submission count: Submit
-                            // must block and drain, not deadlock or drop.
-  AsyncIoBackend backend(&pool, options);
-  for (uint32_t i = 0; i < kBlocks; i += 4) {
-    backend.Submit(IoRequest{i, 4, /*user_data=*/i});
+// A file of `blocks` pattern blocks, opened with O_DIRECT requested (granted
+// or not, depending on the filesystem), its counters reset.
+std::unique_ptr<FileBlockDevice> PatternFile(const std::string& path,
+                                             uint32_t blocks) {
+  FileBlockDeviceOptions options;
+  options.direct_io = true;
+  auto device =
+      FileBlockDevice::Create(path, kDirectBlockSize, options).value();
+  EXPECT_TRUE(device->Allocate(blocks).ok());
+  for (uint32_t i = 0; i < blocks; ++i) {
+    EXPECT_TRUE(device->Write(i, PatternBlock(kDirectBlockSize, i)).ok());
   }
-  std::vector<IoCompletion> completions;
-  while (completions.size() < kBlocks / 4) {
-    backend.Reap(&completions, kBlocks / 4 - completions.size());
-  }
-  EXPECT_EQ(backend.InFlight(), 0u);
-
-  std::set<uint64_t> seen;
-  IoStats total;
-  for (const IoCompletion& completion : completions) {
-    EXPECT_TRUE(completion.status.ok());
-    EXPECT_EQ(completion.blocks, 4u);
-    EXPECT_TRUE(seen.insert(completion.user_data).second)
-        << "duplicate completion " << completion.user_data;
-    total += completion.io;
-  }
-  EXPECT_EQ(seen.size(), kBlocks / 4);
-  // Cold pool: every block was read from the device exactly once, and the
-  // physical profile belongs to the completions (speculative by
-  // construction), not to this thread.
-  EXPECT_EQ(total.TotalReads(), kBlocks);
-  EXPECT_EQ(device->thread_stats().TotalReads(), 0u);
-
-  // Re-prefetching the same range is all pool hits: zero physical I/O.
-  backend.Submit(IoRequest{0, kBlocks, 1234});
-  std::vector<IoCompletion> again;
-  backend.Reap(&again, 1);
-  ASSERT_EQ(again.size(), 1u);
-  EXPECT_TRUE(again[0].status.ok());
-  EXPECT_EQ(again[0].user_data, 1234u);
-  EXPECT_EQ(again[0].io.TotalReads(), 0u);
-
-  // Out-of-range requests complete with an error instead of hanging.
-  backend.Submit(IoRequest{kBlocks + 100, 1, 777});
-  std::vector<IoCompletion> bad;
-  backend.Reap(&bad, 1);
-  ASSERT_EQ(bad.size(), 1u);
-  EXPECT_FALSE(bad[0].status.ok());
+  EXPECT_TRUE(device->Sync().ok());
+  device->ResetStats();
+  return device;
 }
 
-// Hammer for TSan: many demand threads reading through the pool while the
-// async backend prefetches the same range. Every read must return the
-// right bytes and the pool's per-shard locks must keep physical reads
-// exactly-once (no torn pages, no double fetch).
-TEST_F(FileDeviceAsyncTest, ConcurrentDemandAndAsyncPrefetchHammer) {
-  const std::string path = Path("hammer.dat");
-  constexpr uint32_t kBlocks = 128;
-  auto device = FileBlockDevice::Create(path, 512).value();
-  ASSERT_TRUE(device->Allocate(kBlocks).ok());
-  for (uint32_t i = 0; i < kBlocks; ++i) {
-    ASSERT_TRUE(device->Write(i, PatternBlock(512, i)).ok());
+// Exactly-once prefetch on real files: the scheduler reads every requested
+// block once, on its own thread (so the physical profile is speculative,
+// never this thread's), clips a range that runs past the end of the
+// device, ignores one that starts past it, and charges nothing to
+// re-prefetch blocks that are already resident.
+TEST_F(FileDeviceTest, SchedulerPrefetchReadsEachBlockExactlyOnce) {
+  constexpr uint32_t kBlocks = 64;
+  auto device = PatternFile(Path("prefetch.dat"), kBlocks);
+  BufferPool pool(device.get(), /*capacity_blocks=*/kBlocks);
+  IoSchedulerOptions options;
+  options.synchronous = true;
+  IoScheduler scheduler(&pool, options);
+
+  // Runs past the end: clipped to the last 4 blocks.
+  scheduler.PrefetchRange(kBlocks - 4, 100);
+  EXPECT_EQ(scheduler.stats().requested, 4u);
+  EXPECT_EQ(scheduler.stats().blocks_fetched, 4u);
+  // Starts past the end: dropped before it costs anything.
+  scheduler.PrefetchRange(kBlocks + 100, 1);
+  EXPECT_EQ(scheduler.stats().requested, 4u);
+
+  for (uint32_t i = 0; i < kBlocks; i += 4) {
+    scheduler.PrefetchRange(i, 4);
   }
+  IoSchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.blocks_fetched, kBlocks);
+  EXPECT_EQ(stats.deduped, 4u);  // The clipped tail was already resident.
+  EXPECT_EQ(scheduler.speculative_stats().TotalReads(), kBlocks);
+  EXPECT_EQ(device->thread_stats().TotalReads(), 0u);
+
+  // Re-prefetching the resident range costs zero physical reads.
+  scheduler.PrefetchRange(0, kBlocks);
+  stats = scheduler.stats();
+  EXPECT_EQ(stats.blocks_fetched, kBlocks);
+  EXPECT_EQ(stats.deduped, 4u + kBlocks);
+  EXPECT_EQ(scheduler.speculative_stats().TotalReads(), kBlocks);
+
+  // Every demand read is a pool hit with the right bytes.
+  std::vector<uint8_t> out(kDirectBlockSize);
+  for (uint32_t i = 0; i < kBlocks; ++i) {
+    ASSERT_TRUE(pool.Read(i, out).ok());
+    EXPECT_EQ(out, PatternBlock(kDirectBlockSize, i)) << "block " << i;
+  }
+  EXPECT_EQ(device->thread_stats().TotalReads(), 0u);
+  EXPECT_EQ(device->stats().TotalReads(), kBlocks);
+  EXPECT_TRUE(scheduler.last_error().ok());
+}
+
+// Hammer for TSan: demand threads read through the pool while an
+// asynchronous scheduler prefetches the same range, requested from two
+// threads at once. Every read must return the right bytes and the pool's
+// per-shard locks must keep physical reads exactly-once (no torn pages, no
+// double fetch).
+TEST_F(FileDeviceTest, ConcurrentDemandAndPrefetchHammer) {
+  constexpr uint32_t kBlocks = 128;
+  auto device = PatternFile(Path("hammer.dat"), kBlocks);
   // Per-shard capacity must cover every distinct block even in the worst
   // hash imbalance, or LRU eviction re-fetches blocks and breaks the
   // exactly-once accounting below: 8 shards, kBlocks each.
   BufferPool pool(device.get(), kBlocks * 8, /*num_shards=*/8);
-  AsyncIoOptions options;
-  options.num_threads = 3;
-  AsyncIoBackend backend(&pool, options);
+  IoSchedulerOptions options;
+  options.synchronous = false;
+  options.max_run_blocks = 16;
+  IoScheduler scheduler(&pool, options);
 
   std::atomic<bool> failed{false};
-  std::vector<std::thread> readers;
+  std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&pool, &failed, t] {
+    threads.emplace_back([&pool, &failed, t] {
       Rng rng(1000 + t);
-      std::vector<uint8_t> out(512);
+      std::vector<uint8_t> out(kDirectBlockSize);
       for (int iter = 0; iter < 2000; ++iter) {
         const uint32_t id = static_cast<uint32_t>(rng.NextUint64(kBlocks));
-        if (!pool.Read(id, out).ok() || out != PatternBlock(512, id)) {
+        if (!pool.Read(id, out).ok() ||
+            out != PatternBlock(kDirectBlockSize, id)) {
           failed = true;
           return;
         }
       }
     });
   }
-  for (uint32_t round = 0; round < 8; ++round) {
-    for (uint32_t i = 0; i < kBlocks; i += 16) {
-      backend.Submit(IoRequest{i, 16, round * 100 + i});
-    }
+  for (uint32_t start : {0u, 8u}) {
+    threads.emplace_back([&scheduler, start] {
+      for (uint32_t round = 0; round < 8; ++round) {
+        for (uint32_t i = start; i < kBlocks; i += 16) {
+          scheduler.PrefetchRange(i, 16);
+        }
+      }
+    });
   }
-  std::vector<IoCompletion> completions;
-  while (completions.size() < 8 * kBlocks / 16) {
-    backend.Reap(&completions, 1);
+  for (std::thread& thread : threads) {
+    thread.join();
   }
-  for (std::thread& reader : readers) {
-    reader.join();
-  }
+  scheduler.Drain();
   EXPECT_FALSE(failed);
-  for (const IoCompletion& completion : completions) {
-    EXPECT_TRUE(completion.status.ok());
-  }
+  EXPECT_TRUE(scheduler.last_error().ok());
   // Exactly-once physical reads across all demand + speculative traffic.
   EXPECT_EQ(device->stats().TotalReads(), kBlocks);
 }
 
 // End-to-end: Build in memory, Save to a real directory, Open with the
-// production file backend (direct I/O requested, async prefetch on) and
-// check every algorithm answers exactly like the in-memory build — the
-// on-disk round-trip regression the ISSUE calls for.
-TEST_F(FileDeviceAsyncTest, DatabaseRoundTripOnRealFilesWithAsyncIo) {
+// production file backend (direct I/O requested, prefetch on) and check
+// every algorithm answers exactly like the in-memory build.
+TEST_F(FileDeviceTest, DatabaseRoundTripOnRealFiles) {
   std::vector<StoredObject> objects = RandomObjects(91, 350, 30, 5);
   DatabaseOptions build_options;
   build_options.tree_options.capacity_override = 8;
@@ -269,7 +271,6 @@ TEST_F(FileDeviceAsyncTest, DatabaseRoundTripOnRealFilesWithAsyncIo) {
   runtime.prefetch_objects = true;
   runtime.scheduler.synchronous = true;
   runtime.file_device.direct_io = true;
-  runtime.async_io_threads = 2;
   auto reopened = SpatialKeywordDatabase::Open(db_dir, runtime).value();
 
   Rng rng(92);
@@ -289,7 +290,7 @@ TEST_F(FileDeviceAsyncTest, DatabaseRoundTripOnRealFilesWithAsyncIo) {
               ResultIds(built->Query(query, Algorithm::kRTree).value()));
   }
 
-  // The same directory opened cold (no prefetch, no async) also agrees —
+  // The same directory opened cold (no prefetch) also agrees —
   // one saved artifact serves both regimes.
   DatabaseOptions cold;
   cold.cold_queries = true;
@@ -302,10 +303,11 @@ TEST_F(FileDeviceAsyncTest, DatabaseRoundTripOnRealFilesWithAsyncIo) {
             ResultIds(built->Query(query, Algorithm::kIr2).value()));
 }
 
-// BatchExecutor over a file-backed database opened with async prefetch:
-// per-query results must match the in-memory serial reference. (In the
-// TSan suite this doubles as the executor-vs-backend race hammer.)
-TEST_F(FileDeviceAsyncTest, BatchExecutorOverFileBackedDatabase) {
+// BatchExecutor over a file-backed database (prefetch off, which the
+// executor requires): per-query results must match the in-memory serial
+// reference. In the TSan suite this races the workers' private pools over
+// shared file devices.
+TEST_F(FileDeviceTest, BatchExecutorOverFileBackedDatabase) {
   std::vector<StoredObject> objects = RandomObjects(93, 300, 25, 5);
   DatabaseOptions build_options;
   build_options.tree_options.capacity_override = 8;
@@ -316,8 +318,6 @@ TEST_F(FileDeviceAsyncTest, BatchExecutorOverFileBackedDatabase) {
 
   DatabaseOptions runtime;
   runtime.cold_queries = false;
-  runtime.prefetch = true;
-  runtime.async_io_threads = 3;
   auto db = SpatialKeywordDatabase::Open(db_dir, runtime).value();
 
   WorkloadConfig config;
@@ -328,16 +328,14 @@ TEST_F(FileDeviceAsyncTest, BatchExecutorOverFileBackedDatabase) {
   std::vector<DistanceFirstQuery> queries =
       GenerateWorkload(objects, db->tokenizer(), config);
 
-  BatchExecutorOptions serial_options;
-  serial_options.num_threads = 1;
-  BatchExecutor serial(built->ir2_tree(), &built->object_store(),
-                       &built->tokenizer(), serial_options);
-  BatchResults reference = serial.Run(queries).value();
-
   BatchExecutorOptions options;
+  options.num_threads = 1;
+  options.algorithm = Algorithm::kIr2;
+  BatchResults reference =
+      BatchExecutor(built.get(), options).Run(queries).value();
+
   options.num_threads = 4;
-  BatchExecutor executor(db->ir2_tree(), &db->object_store(),
-                         &db->tokenizer(), options);
+  BatchExecutor executor(db.get(), options);
   BatchResults batch = executor.Run(queries).value();
   ASSERT_EQ(batch.results.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
